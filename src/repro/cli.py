@@ -862,6 +862,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.exec.base import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Enhanced Online-ABFT Cholesky reproduction (IPDPS 2016)",
@@ -955,9 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics-out", default=None, help="write metrics JSON here")
         p.add_argument("--prometheus-out", default=None, help="write Prometheus text here")
         p.add_argument(
-            "--executor", default="thread", choices=["inline", "thread", "process", "auto"],
-            help="execution backend for blocking attempts ('auto' places each "
-            "job on inline/thread/process via the dispatch cost model)",
+            "--executor", default="thread", choices=BACKENDS,
+            help="execution backend for blocking attempts",
         )
         p.add_argument(
             "--exec-workers", type=int, default=None, metavar="N",
@@ -1024,9 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", nargs="+", default=["tardis:2"], metavar="PRESET[:CONCURRENCY]",
             help="worker pool per shard",
         )
-        cp.add_argument(
-            "--executor", default="thread", choices=["inline", "thread", "process", "auto"],
-        )
+        cp.add_argument("--executor", default="thread", choices=BACKENDS)
         cp.add_argument("--exec-workers", type=int, default=2, metavar="N")
         cp.add_argument("--max-depth", type=int, default=256, help="queue depth per shard")
         cp.add_argument("--job-timeout", type=float, default=120.0)
@@ -1102,8 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--service-jobs", type=int, default=12, help="jobs per scaling cell")
     p.add_argument(
-        "--executors", nargs="+", default=["inline", "thread", "process"],
-        choices=["inline", "thread", "process", "auto"],
+        "--executors", nargs="+", default=list(BACKENDS), choices=BACKENDS,
         help="backends to sweep (with --service)",
     )
     p.add_argument(

@@ -25,7 +25,7 @@ from repro.desim.task import Task
 from repro.desim.trace import Timeline
 from repro.faults.injector import FaultInjector, Hook, no_faults
 from repro.hetero.machine import Machine
-from repro.hetero.memory import DeviceChecksums, DeviceMatrix
+from repro.hetero.memory import DeviceMatrix
 from repro.util.exceptions import (
     RestartExhaustedError,
     SingularBlockError,

@@ -37,7 +37,8 @@ per-tile counterpart on this code's operand shapes:
 - the tolerance ``rtol · (W @ |tile|) + atol`` is reproduced as
   ``t = W @ |X|; t *= rtol; t += atol`` — multiplication is commutative
   in IEEE-754, so the in-place form is exact;
-- the comparison ``|fresh − strip| > tol`` is element-wise.
+- the comparison ``|fresh − strip| > tol`` is element-wise, and so is
+  the non-finite-tolerance flag both paths apply.
 
 Flagged tiles (almost always none) fall back to the unchanged per-tile
 decode in :mod:`repro.core.correct` / :mod:`repro.core.multierror`, so
@@ -189,7 +190,12 @@ class BatchVerifyEngine:
             np.subtract(fresh, strips, out=fresh)
             np.abs(fresh, out=fresh)
             bad = self._ws_bool(r * k * b).reshape(r, k * b)
+            finite = np.isfinite(tol, out=bad).all()
             np.greater(fresh, tol, out=bad)
+            if not finite:
+                # |δ| > inf is never true: a tile whose tolerance overflowed
+                # (or went NaN) is flagged so the per-tile decoder rejects it.
+                bad |= ~np.isfinite(tol)
             if not bad.any():
                 continue
             tile_bad = bad.reshape(r, k, b).any(axis=(0, 2))

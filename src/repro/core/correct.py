@@ -38,7 +38,6 @@ from repro.desim.task import Task
 from repro.hetero.context import ExecutionContext
 from repro.hetero.costmodel import KernelCost
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
-from repro.hetero.stream import Stream
 from repro.util.exceptions import UnrecoverableError
 from repro.util.validation import check_positive, require
 
@@ -301,6 +300,14 @@ def check_tile_strip(
         return
     fresh = weights @ tile
     tol = rtol * (weights @ np.abs(tile)) + atol
+    if not np.isfinite(tol).all():
+        # An overflowed weighted sum (a top-exponent flip) or a NaN makes
+        # every comparison against this tolerance vacuous: |δ| > inf is
+        # never true, so a corrupt data element would pass as clean or be
+        # blamed on a checksum row.  Nothing here can be trusted: restart.
+        raise UnrecoverableError(
+            f"tile {key}: checksum recalculation is not finite", block=key
+        )
     delta = fresh - strip
     bad = np.abs(delta) > tol
     if not bad.any():

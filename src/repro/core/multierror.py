@@ -146,6 +146,10 @@ class MultiErrorCodec:
         )
         fresh = self.encode(tile)
         tol = self._tolerance(tile)
+        if not np.isfinite(tol).all():
+            # Same rule as the two-checksum path: an overflowed tolerance
+            # hides every syndrome, so no decode can be trusted.
+            raise UnrecoverableError("checksum recalculation is not finite")
         syndromes = fresh - strip
         corrections: list[ColumnCorrection] = []
         bad_cols = np.nonzero((np.abs(syndromes) > tol).any(axis=0))[0]

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.blas import flops as fl
-from repro.blas.dense import trsm_right_lt
 from repro.core.multierror import vandermonde_weights
 from repro.util.exceptions import UnrecoverableError
 from repro.util.formatting import render_table

@@ -1,35 +1,23 @@
 """Pluggable execution backends for the solve service.
 
 ``inline`` (debug/baseline), ``thread`` (GIL-bound ``asyncio.to_thread``
-pool — the historical behaviour), ``process`` (persistent multicore
+pool — the historical behaviour) and ``process`` (persistent multicore
 worker pool with batched dispatch and zero-copy shared-memory matrix
-transport), and ``auto`` (cost-model placement across all three — see
-:mod:`repro.exec.chooser`).  See :mod:`repro.exec.base` for the protocol
-and its determinism contract.
+transport).  See :mod:`repro.exec.base` for the protocol and its
+determinism contract.
 """
 
-from repro.exec.base import (
-    BACKENDS,
-    EXECUTOR_CHOICES,
-    AttemptRequest,
-    Executor,
-    make_executor,
-)
-from repro.exec.chooser import AutoExecutor, choose_backend, predicted_crossover_n
+from repro.exec.base import BACKENDS, AttemptRequest, Executor, make_executor
 from repro.exec.inline import InlineExecutor
 from repro.exec.process import ProcessExecutor
 from repro.exec.thread import ThreadExecutor
 
 __all__ = [
     "BACKENDS",
-    "EXECUTOR_CHOICES",
     "AttemptRequest",
-    "AutoExecutor",
     "Executor",
     "InlineExecutor",
     "ProcessExecutor",
     "ThreadExecutor",
-    "choose_backend",
     "make_executor",
-    "predicted_crossover_n",
 ]

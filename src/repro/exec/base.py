@@ -45,13 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Registered backend names, in increasing order of parallelism.
 BACKENDS = ("inline", "thread", "process")
 
-#: What ``--executor`` accepts: the concrete backends plus the cost-model
-#: chooser (:mod:`repro.exec.chooser`), which places each job on one of them.
-EXECUTOR_CHOICES = BACKENDS + ("auto",)
-
-#: Smoothing factor for the per-backend dispatch-overhead EWMA.
-DISPATCH_EWMA_ALPHA = 0.2
-
 
 def is_infra_error(exc: BaseException) -> bool:
     """Was this failure the *backend's* fault rather than the job's?
@@ -140,10 +133,6 @@ class Executor(ABC):
         self._arena_miss = metrics.counter(
             "executor_arena_miss_total", "leases that had to create a new arena segment"
         )
-        self._latency_g = metrics.gauge(
-            "executor_dispatch_latency_s",
-            "per-backend dispatch-overhead EWMA (seconds beyond the compute itself)",
-        )
         with self._mlock:
             self._busy_g.set(self.capacity, kind="capacity")
             self._busy_g.set(0.0, kind="busy")
@@ -217,21 +206,6 @@ class Executor(ABC):
             else:
                 self._arena_miss.inc(backend=self.name)
 
-    def _note_latency(self, overhead_s: float) -> None:
-        """Fold one measured dispatch overhead into this backend's EWMA."""
-        overhead_s = max(0.0, float(overhead_s))
-        with self._mlock:
-            prior = self._latency_g.value(backend=self.name)
-            if self._latency_g._values.get((("backend", self.name),)) is None:
-                blended = overhead_s
-            else:
-                blended = (1.0 - DISPATCH_EWMA_ALPHA) * prior + DISPATCH_EWMA_ALPHA * overhead_s
-            self._latency_g.set(blended, backend=self.name)
-
-    def dispatch_latency_s(self) -> float:
-        """Current dispatch-overhead EWMA for this backend (0.0 if unmeasured)."""
-        return self._latency_g.value(backend=self.name)
-
     def _note_ipc(self, nbytes: int, direction: str) -> None:
         with self._mlock:
             self._ipc_bytes.inc(nbytes, direction=direction)
@@ -249,7 +223,7 @@ class Executor(ABC):
 
 
 class _SlotTimer:
-    """Measures time-to-slot for the dispatch-latency histogram."""
+    """Measures time-to-slot for the ``executor_dispatch_seconds`` histogram."""
 
     __slots__ = ("t0",)
 
@@ -269,10 +243,8 @@ def make_executor(
 
     *workers* bounds backend concurrency: thread-pool width for
     ``thread``, pool size for ``process``; ignored by ``inline``.
-    ``auto`` builds the cost-model chooser over all three.
     """
-    require(kind in EXECUTOR_CHOICES, f"unknown executor {kind!r}; have {EXECUTOR_CHOICES}")
-    from repro.exec.chooser import AutoExecutor
+    require(kind in BACKENDS, f"unknown executor {kind!r}; have {BACKENDS}")
     from repro.exec.inline import InlineExecutor
     from repro.exec.process import ProcessExecutor
     from repro.exec.thread import ThreadExecutor
@@ -281,6 +253,4 @@ def make_executor(
         return InlineExecutor(metrics=metrics)
     if kind == "thread":
         return ThreadExecutor(workers=workers or 4, metrics=metrics)
-    if kind == "auto":
-        return AutoExecutor(workers=workers or 2, metrics=metrics)
     return ProcessExecutor(workers=workers or 2, metrics=metrics)

@@ -10,7 +10,7 @@ never for serving.
 
 from __future__ import annotations
 
-from repro.exec.base import AttemptRequest, Executor, _SlotTimer
+from repro.exec.base import AttemptRequest, Executor
 from repro.hetero.machine import Machine
 from repro.service import policy
 from repro.service.metrics import MetricsRegistry
@@ -39,12 +39,7 @@ class InlineExecutor(Executor):
         super().__init__(capacity=1, metrics=metrics)
 
     def run_sync(self, request: AttemptRequest) -> AttemptOutcome:
-        timer = _SlotTimer()
-        waited = timer.waited()
-        self._note_dispatch(waited, request)
-        # Inline has no wire, no pickle, no wakeup — its dispatch
-        # overhead is the slot-timer's epsilon, by definition.
-        self._note_latency(waited)
+        self._note_dispatch(0.0, request)  # no slot to wait for
         try:
             return run_request(request)
         finally:

@@ -394,13 +394,10 @@ class ProcessExecutor(Executor):
             len(blob) + sum(d.nbytes for d in descs if d is not None), "to_worker"
         )
         batch_id = next(self._task_ids)
-        sent_at = time.monotonic()
-        deadline = sent_at + budget + _DEADLINE_GRACE_S
+        deadline = time.monotonic() + budget + _DEADLINE_GRACE_S
         handle.inbox.put(("batch", batch_id, blob))
         results: list[AttemptOutcome | BaseException | None] = [None] * len(requests)
         pending = set(range(len(requests)))
-        exec_wall_total = 0.0
-        clean = True
         try:
             while pending:
                 try:
@@ -420,12 +417,11 @@ class ProcessExecutor(Executor):
                         )
                         results[index] = err
                     pending.clear()
-                    clean = False
                     break
                 index = reply[2]
                 if index not in pending:
                     continue  # duplicate/stale reply: drop it
-                settled = self._settle_item(
+                results[index] = self._settle_item(
                     handle,
                     requests[index],
                     reply,
@@ -434,22 +430,11 @@ class ProcessExecutor(Executor):
                     overlays[index],
                     snaps[index],
                 )
-                results[index], exec_wall = settled
-                if exec_wall is None:
-                    clean = False
-                else:
-                    exec_wall_total += exec_wall
                 pending.discard(index)
         finally:
             for desc in itertools.chain(descs, snap_descs):
                 if desc is not None:
                     handle.arena.end_lease(desc)
-        if clean:
-            # Pure dispatch overhead of the round-trip: wall time minus
-            # the compute the worker reported, amortized per item — the
-            # signal the cost-model backend chooser consumes.
-            overhead = (time.monotonic() - sent_at) - exec_wall_total
-            self._note_latency(overhead / len(requests))
         return results  # type: ignore[return-value]
 
     def _settle_item(
@@ -461,12 +446,8 @@ class ProcessExecutor(Executor):
         desc,
         chaos: dict,
         snap_view: np.ndarray | None = None,
-    ) -> tuple[AttemptOutcome | BaseException, float | None]:
-        """Turn one streamed item reply into an outcome or exception value.
-
-        Returns ``(result, exec_wall_s)``; the wall time is ``None`` for
-        failed items (they contribute nothing to the latency EWMA).
-        """
+    ) -> AttemptOutcome | BaseException:
+        """Turn one streamed item reply into an outcome or exception value."""
         status = reply[3]
         if status == "err":
             _, _, _, _, exc_type, message, inj = reply
@@ -478,19 +459,15 @@ class ProcessExecutor(Executor):
                 if desc is not None:
                     handle.arena.discard(desc.name)
                 self._note_transport_error("missing_segment")
-                return (
-                    ShmTransportError(
-                        f"worker {handle.worker_id} lost shm segment {desc.name if desc else '?'} "
-                        f"mid-attempt ({message}); segment dropped, attempt requeued"
-                    ),
-                    None,
+                return ShmTransportError(
+                    f"worker {handle.worker_id} lost shm segment {desc.name if desc else '?'} "
+                    f"mid-attempt ({message}); segment dropped, attempt requeued"
                 )
-            return WorkerTaskError(exc_type, message), None
+            return WorkerTaskError(exc_type, message)
         body, inj = reply[4], reply[5]
         self._sync_injector(request.job, inj)
         outcome: AttemptOutcome = pickle.loads(body)
         self._note_ipc(len(body) + (desc.nbytes if desc is not None else 0), "from_worker")
-        exec_wall = outcome.extras.pop("exec_wall_s", None)
         if outcome.extras.pop("factor_in_shm", False) and view is not None:
             expected_crc = outcome.extras.pop("factor_crc", None)
             if chaos.get("corrupt_shm"):
@@ -505,11 +482,11 @@ class ProcessExecutor(Executor):
                 # iteration-boundary snapshots are independently CRC'd —
                 # salvage the freshest so recovery can resume forward.
                 err.salvage = self._salvage_snapshot(request.job, snap_view, chaos)
-                return err, None
+                return err
             outcome.factor = np.array(view)  # detach from the arena before reuse
         else:
             outcome.extras.pop("factor_crc", None)
-        return outcome, exec_wall
+        return outcome
 
     def _salvage_snapshot(self, job, snap_view: np.ndarray | None, chaos: dict):
         """Read the freshest decodable snapshot off a failed item's segment.

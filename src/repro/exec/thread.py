@@ -29,11 +29,7 @@ class ThreadExecutor(Executor):
     def run_sync(self, request: AttemptRequest) -> AttemptOutcome:
         timer = _SlotTimer()
         with self._slots:
-            waited = timer.waited()
-            self._note_dispatch(waited, request)
-            # A thread attempt's dispatch overhead is the time spent
-            # waiting for a pool slot (the hand-off itself is free).
-            self._note_latency(waited)
+            self._note_dispatch(timer.waited(), request)
             try:
                 return run_request(request)
             finally:

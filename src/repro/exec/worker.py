@@ -197,16 +197,11 @@ def _run_item(batch_id: int, index: int, payload: dict, state: WorkerState, outb
     """Run one batch item and stream its reply (never raises)."""
     injector = payload["job"].injector
     fired_before = len(injector.fired) if injector is not None else 0
-    started = time.perf_counter()
     # Exception only: SystemExit / KeyboardInterrupt / other
     # BaseExceptions mean this process should die and let the parent's
     # respawn path take over, not keep serving in an unknown state.
     try:
         reply = run_task(payload, state, outbox)
-        # The parent pops this before anyone compares extras: it feeds
-        # the dispatch-overhead EWMA (wire+pickle time = round-trip
-        # minus the compute the worker actually did).
-        reply.extras["exec_wall_s"] = time.perf_counter() - started
         outbox.put(
             ("item", batch_id, index, "ok", pickle.dumps(reply), injector_state(payload, fired_before))
         )

@@ -23,13 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.exec import (
-    BACKENDS,
-    EXECUTOR_CHOICES,
-    AttemptRequest,
-    make_executor,
-    predicted_crossover_n,
-)
+from repro.exec import BACKENDS, AttemptRequest, make_executor
 from repro.experiments.stamp import run_stamp
 from repro.hetero.machine import Machine
 from repro.service.core import ServiceConfig, SolveService
@@ -37,11 +31,13 @@ from repro.service.job import JobStatus
 from repro.service.loadgen import LoadGenConfig, make_job, run_load
 from repro.util.validation import require
 
-#: Schema 2 adds the job-size grid (``size_grid``): inline-vs-process
-#: jobs/s per matrix order plus the measured and model-predicted
-#: crossover order.  :func:`load_service_doc` reads schema-1 documents
-#: by backfilling ``size_grid: None``.
-SCHEMA_VERSION = 2
+#: Schema 2 added the job-size grid (``size_grid``): inline-vs-process
+#: jobs/s per matrix order plus the measured crossover order.  Schema 3
+#: drops the grid's cost-model half (the model-predicted crossover, the
+#: pool's mean dispatch overhead and each cell's overhead reading).
+#: :func:`load_service_doc` reads schema-1 documents by backfilling
+#: ``size_grid: None``.
+SCHEMA_VERSION = 3
 
 #: (executor, workers) cells measured by default; ``inline`` has no pool
 #: so only width 1 is meaningful there.
@@ -153,7 +149,6 @@ def _measure_size_cell(executor: str, n: int, jobs: int, width: int) -> dict[str
         "seconds_per_job": report.wall_s / max(1, report.completed),
         "wall_s": report.wall_s,
         "completed": report.completed,
-        "dispatch_latency_s": service.executor.dispatch_latency_s(),
     }
 
 
@@ -168,10 +163,6 @@ def run_size_grid(
     process backend's throughput meets or beats inline (``None`` if it
     never does — expected on single-core hosts, where forking buys no
     parallelism to amortize the dispatch against).
-    ``predicted_crossover_n`` asks the backend chooser's cost model the
-    same question, fed with the measured inline seconds-per-job and the
-    process pool's measured dispatch-latency EWMA, so the two fields
-    disagreeing is a finding about the model, not noise.
     """
     require(jobs >= 1, "need at least one job per grid cell")
     require(all(n >= 32 for n in sizes), "grid sizes must be >= 32")
@@ -187,24 +178,12 @@ def run_size_grid(
         if cells["process"][str(n)]["jobs_per_s"] >= cells["inline"][str(n)]["jobs_per_s"]:
             measured = n
             break
-
-    inline_s = {n: cells["inline"][str(n)]["seconds_per_job"] for n in sizes}
-    overheads = [cells["process"][str(n)]["dispatch_latency_s"] for n in sizes]
-    overhead_process_s = sum(overheads) / len(overheads)
-    predicted = predicted_crossover_n(
-        lambda n: inline_s[n],
-        overhead_process_s=overhead_process_s,
-        process_capacity=width,
-        sizes=sizes,
-    )
     return {
         "sizes": list(sizes),
         "jobs_per_cell": jobs,
         "process_workers": width,
         "cells": cells,
-        "overhead_process_s": overhead_process_s,
         "measured_crossover_n": measured,
-        "predicted_crossover_n": predicted,
     }
 
 
@@ -221,10 +200,7 @@ def run(
     then carries ``size_grid: None``, same as a schema-1 reader sees).
     """
     require(jobs >= 2, "need at least two jobs per cell")
-    require(
-        all(e in EXECUTOR_CHOICES for e in executors),
-        f"executors must be in {EXECUTOR_CHOICES}",
-    )
+    require(all(e in BACKENDS for e in executors), f"executors must be in {BACKENDS}")
     require(all(w >= 1 for w in workers), "worker widths must be >= 1")
 
     grid: dict[str, dict[str, dict[str, Any]]] = {}
@@ -325,10 +301,7 @@ def render(doc: dict[str, Any]) -> str:
                 f"  {n:>6} {size_grid['cells']['inline'][str(n)]['jobs_per_s']:11.2f} "
                 f"{size_grid['cells']['process'][str(n)]['jobs_per_s']:12.2f}"
             )
-        lines.append(
-            f"  crossover n: measured={size_grid['measured_crossover_n']} "
-            f"predicted={size_grid['predicted_crossover_n']}"
-        )
+        lines.append(f"  crossover n: measured={size_grid['measured_crossover_n']}")
     ok = doc["bit_identical"]
     lines.append(
         f"  bit-identical: job_results={ok['job_results']} factors={ok['factors']}"

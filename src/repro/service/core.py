@@ -32,7 +32,7 @@ from repro.service.job import Job, JobResult, JobStatus, Priority
 from repro.service.metrics import MetricsRegistry
 from repro.service.policy import AttemptOutcome, RetryPolicy
 from repro.service.queue import AdmissionDecision, JobQueue
-from repro.service.scheduler import Assignment, Scheduler, Worker
+from repro.service.scheduler import Scheduler, Worker
 from repro.util.exceptions import ReproError
 from repro.util.validation import check_positive, require
 
@@ -58,9 +58,8 @@ class ServiceConfig:
     #: ``job-<id>.json`` (trace schema v2, spans tagged with the job id)
     trace_dir: str | Path | None = None
     #: execution backend for blocking attempts: ``inline`` | ``thread`` |
-    #: ``process`` | ``auto`` (see :mod:`repro.exec`); ``thread`` is the
-    #: historical single-process behaviour, ``auto`` places each job by
-    #: cost model (:mod:`repro.exec.chooser`)
+    #: ``process`` (see :mod:`repro.exec`); ``thread`` is the historical
+    #: single-process behaviour
     executor: str = "thread"
     #: backend concurrency (thread-pool width / process-pool size);
     #: ``None`` sizes it to the scheduler's total worker concurrency
@@ -101,16 +100,11 @@ class ServiceConfig:
         check_positive("max_queue_depth", self.max_queue_depth)
         check_positive("job_timeout_s", self.job_timeout_s)
         check_positive("residual_tolerance", self.residual_tolerance)
-        from repro.exec.base import EXECUTOR_CHOICES
+        from repro.exec.base import BACKENDS
 
         require(
-            self.executor in EXECUTOR_CHOICES,
-            f"unknown executor {self.executor!r}; have {EXECUTOR_CHOICES}",
-        )
-        require(
-            not (self.failover and self.executor == "auto"),
-            "failover chains wrap one concrete backend; 'auto' already "
-            "owns all three — pick one or the other",
+            self.executor in BACKENDS,
+            f"unknown executor {self.executor!r}; have {BACKENDS}",
         )
         if self.exec_workers is not None:
             check_positive("exec_workers", self.exec_workers)

@@ -189,6 +189,12 @@ class TestLoadgenCommand:
         assert rc == 0
         assert "throughput" in capsys.readouterr().out
 
+    def test_unknown_executor_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--executor", "auto"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
 
 class TestRecovery:
     def test_bench_writes_doc_and_history(self, capsys, tmp_path):

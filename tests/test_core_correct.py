@@ -5,9 +5,13 @@ import pytest
 
 from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
+from repro.core import enhanced_potrf
 from repro.core.checksum import encode_blocked_host
 from repro.core.correct import Verifier
 from repro.faults.bitflip import flip_bit
+from repro.faults.injector import FaultInjector, FaultPlan, Hook
+from repro.magma.host import factorization_residual
+from repro.runtime.scheme import dag_potrf
 from repro.util.exceptions import UnrecoverableError
 
 
@@ -143,6 +147,51 @@ class TestUncorrectable:
         with pytest.raises(UnrecoverableError) as err:
             v.verify_batch([(3, 2)], "t")
         assert err.value.block == (3, 2)
+
+
+class TestNonFiniteTolerance:
+    """An overflowed checksum recalculation must never become a "correction".
+
+    A top-exponent flip turns one entry into ~1e307; the weighted row
+    ``W @ tile`` then overflows and an infinite tolerance hides δ₂: left
+    to the classifier, the column reads as a corrupt checksum row 1 and
+    gets "refreshed" from the corrupt data.
+    """
+
+    # B = 8: row 1 of W @ tile stays finite at 1e308, row 2 (weight 8) overflows.
+    @pytest.mark.parametrize("keys", [[(2, 1)], [(1, 1), (2, 1), (3, 1)]], ids=["single", "batched"])
+    @pytest.mark.parametrize("value", [1e308, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+    def test_non_finite_tile_escalates(self, tardis, keys, value):
+        v, _ = make_verified_setup(tardis)
+        v.matrix.tile_view((2, 1))[7, 0] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(UnrecoverableError, match="not finite") as err:
+                v.verify_batch(keys, "t")
+        assert err.value.block == (2, 1)
+        assert v.stats.checksum_corrections == v.stats.data_corrections == 0
+
+    # Every comparison against these reads false, so only the finiteness flag sees them.
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_engine_flags_exactly_the_non_finite_tile(self, tardis, value):
+        v, _ = make_verified_setup(tardis)
+        v.matrix.tile_view((2, 1))[7, 0] = value
+        keys = [(i, j) for j in range(4) for i in range(j, 4)]
+        with np.errstate(invalid="ignore"):
+            assert v.engine.detect(keys) == [(2, 1)]
+
+    @pytest.mark.parametrize(
+        "potrf,block,coord",
+        [(enhanced_potrf, (1, 0), (14, 44)), (dag_potrf, (2, 1), (63, 0))],
+        ids=["enhanced", "dag"],
+    )
+    def test_bit62_flip_restarts_instead_of_miscorrecting(self, tardis, potrf, block, coord):
+        a = random_spd(256, rng=np.random.default_rng(3))
+        injector = FaultInjector([FaultPlan(Hook.STORAGE_WINDOW, 1, "storage", block, coord, bit=62)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = potrf(tardis, a=a.copy(), block_size=64, injector=injector)
+        assert len(injector.fired) == 1
+        assert res.restarts >= 1
+        assert factorization_residual(a, res.factor) <= 1e-8
 
 
 class TestTaskIssuance:

@@ -18,13 +18,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exec import AttemptRequest, InlineExecutor, ProcessExecutor, ThreadExecutor
+from repro.exec import AttemptRequest, InlineExecutor, ProcessExecutor, ThreadExecutor, make_executor
 from repro.faults.injector import single_storage_fault
 from repro.hetero.machine import Machine
 from repro.service.core import ServiceConfig, SolveService
 from repro.service.job import Job, JobStatus
 from repro.service.policy import RetryPolicy
-from repro.util.exceptions import ReproError, WorkerCrashedError, WorkerTaskError
+from repro.util.exceptions import ReproError, ValidationError, WorkerCrashedError, WorkerTaskError
 
 #: Same fault site the hotpath bench pins: one storage error the enhanced
 #: scheme detects and corrects, so parity also covers the correction path.
@@ -202,6 +202,17 @@ class TestWorkerCrash:
         assert result.residual is not None and result.residual < 1e-10
         assert service.metrics["executor_worker_restarts_total"].value(reason="crash") == 1
         assert service.metrics["service_retries_total"].value() == 1
+
+
+class TestBackendNames:
+    @pytest.mark.parametrize("name", ["auto", "bogus"])
+    def test_service_config_names_the_three_backends(self, name):
+        with pytest.raises(ValidationError, match="'inline', 'thread', 'process'"):
+            ServiceConfig(executor=name)
+
+    def test_make_executor_rejects_unknown_names(self):
+        with pytest.raises(ValidationError):
+            make_executor("auto")
 
 
 class TestPoolLifecycle:

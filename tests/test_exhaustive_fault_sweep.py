@@ -7,9 +7,6 @@ space — and asserts the Enhanced scheme always produces the right factor
 This is the strongest executable form of the paper's Section III claim.
 """
 
-import itertools
-
-import numpy as np
 import pytest
 
 from repro.blas.spd import random_spd

@@ -1,7 +1,5 @@
 """Tests for the consolidated report generator."""
 
-import pathlib
-
 import pytest
 
 from repro.cli import main

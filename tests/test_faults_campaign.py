@@ -1,6 +1,5 @@
 """Tests for random fault campaigns (sampled robustness of Enhanced)."""
 
-import numpy as np
 import pytest
 
 from repro.blas.spd import random_spd

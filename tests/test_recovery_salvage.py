@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import enhanced_potrf, online_potrf
 from repro.hetero.machine import Machine
 from repro.magma.host import factorization_residual
 from repro.recovery import (

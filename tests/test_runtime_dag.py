@@ -27,7 +27,6 @@ from repro.faults.injector import (
     single_storage_fault,
 )
 from repro.runtime import (
-    DagExecutor,
     HostStrips,
     HostTiles,
     TaskGraph,
@@ -35,7 +34,6 @@ from repro.runtime import (
     dag_potrf,
     inject_task_delays,
     inject_worker_stall,
-    merge_stats,
     plan_anchor,
 )
 from repro.runtime.cholesky import encode_strips

@@ -4,7 +4,6 @@ These are the real-mode, laptop-scale versions of Tables VII/VIII: the
 distinguishing claims of the paper as executable assertions.
 """
 
-import numpy as np
 import pytest
 
 from repro.blas.spd import random_spd

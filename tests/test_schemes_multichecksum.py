@@ -6,13 +6,11 @@ errors landing in the *same tile column* are corrected in place where the
 paper's two-checksum scheme must restart.
 """
 
-import numpy as np
 import pytest
 
 from repro.blas.spd import random_spd
 from repro.core import AbftConfig, enhanced_potrf, online_potrf
 from repro.faults.injector import FaultInjector, FaultPlan, Hook
-from repro.hetero.machine import Machine
 from repro.magma.host import factorization_residual
 
 N, BS = 512, 64

@@ -15,7 +15,6 @@ import pytest
 from repro.analysis import check_protocol, find_hazards, load_trace_doc
 from repro.desim.trace import META_JOB
 from repro.service import (
-    Job,
     JobStatus,
     LoadGenConfig,
     LoadReport,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.exec.base import Executor
 from repro.resilience.journal import read_journal
 from repro.service.core import ServiceConfig, SolveService
