@@ -6,14 +6,15 @@ paper) issues to cuBLAS or to the host LAPACK:
 ====================  =======================================================
 :func:`syrk_update`   ``C -= A @ A^T``            (cublasDsyrk, lower)
 :func:`gemm_update`   ``C -= A @ B^T``            (cublasDgemm, trans-B)
-:func:`potf2`         unblocked Cholesky           (LAPACK dpotf2 on the CPU)
+:func:`potf2`         ``A = L · L^T`` in place     (LAPACK dpotf2 on the CPU)
 :func:`trsm_right_lt` ``X · L^T = B`` in place     (cublasDtrsm, right/lower/T)
 :func:`gemv`          ``v^T A`` row-vector product (cublasDgemv, checksums)
 ====================  =======================================================
 
 All kernels write into caller-provided output arrays (views into the blocked
-matrix) so no hidden copies are made — the guides' "views, not copies" rule,
-and also what makes fault injection into live storage meaningful.
+matrix) — the guides' "views, not copies" rule, and also what makes fault
+injection into live storage meaningful.  POTF2 is one LAPACK call, which
+factors a B×B copy that is then written back into the tile.
 """
 
 from __future__ import annotations
@@ -56,35 +57,51 @@ def gemm_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def potf2(a: np.ndarray, block_index: int = -1) -> None:
-    """Unblocked lower Cholesky of *a*, in place (LAPACK ``dpotf2``).
+    """Lower Cholesky of the tile *a*, in place (the CPU's POTF2 step).
 
+    One ``np.linalg.cholesky`` call factors the tile: NumPy's own LAPACK,
+    so pool workers load nothing extra.  It reads only the lower triangle.
     On exit the lower triangle of *a* holds L and the strict upper triangle
     is zeroed (MAGMA leaves garbage there; zeroing makes the column-checksum
     relation of the *stored* block exact, which the ABFT layer relies on).
 
-    Raises :class:`SingularBlockError` if a pivot is not positive — the
-    fail-stop outcome a storage error can force, per Section III.
-
-    Implemented as the classic scalar j-loop but with the trailing update
-    vectorized per column; for the small B used by blocked Cholesky this is
-    plenty, and an explicit loop keeps the numerics identical to dpotf2
-    (so error propagation behaves like the real routine).
+    Raises :class:`SingularBlockError` if LAPACK rejects the tile — the
+    fail-stop outcome a storage error can force, per Section III — and
+    leaves *a* as it was.  OpenBLAS lets a NaN or +inf pivot through, so a
+    non-finite diagonal in the result counts as a rejection too.  The
+    error names the pivot :func:`_failing_pivot` finds.
     """
-    n = check_square("a", a)
+    check_square("a", a)
     check_dtype("a", a)
-    for j in range(n):
-        pivot = a[j, j]
-        if not pivot > 0.0 or not np.isfinite(pivot):
-            raise SingularBlockError(block_index, j, float(pivot))
-        ljj = np.sqrt(pivot)
-        a[j, j] = ljj
-        if j + 1 < n:
-            a[j + 1 :, j] /= ljj
-            # Trailing submatrix update: A[j+1:, j+1:] -= l_j l_j^T, done
-            # column-by-column on the lower triangle only (dpotf2 order).
-            col = a[j + 1 :, j]
-            a[j + 1 :, j + 1 :] -= np.outer(col, col)
-        a[j, j + 1 :] = 0.0
+    try:
+        ell = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        ell = None
+    if ell is None or not np.isfinite(ell.diagonal()).all():
+        raise SingularBlockError(block_index, *_failing_pivot(a))
+    a[...] = ell
+
+
+def _failing_pivot(a: np.ndarray) -> tuple[int, float]:
+    """Index and value of the pivot the scalar ``dpotf2`` recurrence fails at.
+
+    Runs the recurrence on a copy of the lower triangle of *a* and returns
+    the first pivot that is not positive and finite.  Where LAPACK rejected
+    a tile the recurrence gets through (a pivot at rounding level), the
+    smallest pivot stands for the one LAPACK refused.
+    """
+    w = np.tril(a)
+    pivots = np.empty(w.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf on the way
+        for j in range(w.shape[0]):
+            pivot = w[j, j]
+            if not (pivot > 0.0 and np.isfinite(pivot)):
+                return j, float(pivot)
+            pivots[j] = pivot
+            col = w[j + 1 :, j] / np.sqrt(pivot)
+            w[j + 1 :, j + 1 :] -= np.outer(col, col)
+    j = int(np.argmin(pivots))
+    return j, float(pivots[j])
 
 
 def trsm_right_lt(b: np.ndarray, ell: np.ndarray) -> None:

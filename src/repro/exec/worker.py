@@ -6,7 +6,7 @@ reply per item on its outbox.  The expensive things happen once per
 worker lifetime, not once per attempt — that is the pool's whole reason
 to be persistent:
 
-- module imports (NumPy/SciPy + the repro numerics) are paid at spawn;
+- module imports (NumPy + the repro numerics, no SciPy) are paid at spawn;
 - :class:`~repro.hetero.machine.Machine` presets are cached by name;
 - shared-memory segments are attached once per segment *name* and kept
   mapped (the parent's arena free-list reuses names across jobs, so

@@ -17,8 +17,6 @@ service's end-to-end residual tolerance.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import AbftConfig
 from repro.hetero.machine import Machine
 from repro.magma.host import factorization_residual
@@ -58,7 +56,8 @@ def execute_resume(job: Job, machine: Machine, salvage: Salvage) -> AttemptOutco
         injector=job.injector,
         start_iteration=salvage.resume_iteration,
     )
-    residual = factorization_residual(pristine, res.factor)
+    factor = res.factor
+    residual = factorization_residual(pristine, factor)
     corrected = res.stats.data_corrections + res.stats.checksum_corrections
     return AttemptOutcome(
         sim_makespan=res.makespan,
@@ -68,7 +67,7 @@ def execute_resume(job: Job, machine: Machine, salvage: Salvage) -> AttemptOutco
         timeline=res.timeline,
         corrected_sites=list(res.stats.corrected_sites) + list(stats.corrected_sites),
         stats=res.stats,
-        factor=np.array(res.factor),
+        factor=factor,
         extras={
             "resumed_from_iteration": salvage.resume_iteration,
             "total_iterations": salvage.nb,

@@ -169,8 +169,8 @@ def execute_attempt(
             injector=injector,
             **extra_kwargs,
         )
-        residual = factorization_residual(pristine, res.factor)
         factor = res.factor
+        residual = factorization_residual(pristine, factor)
     else:
         res = potrf(
             machine,
@@ -216,7 +216,8 @@ def execute_fallback(
             interval=policy.checkpoint_interval,
             injector=job.injector,
         )
-        residual = factorization_residual(pristine, res.factor)
+        factor = res.factor
+        residual = factorization_residual(pristine, factor)
     else:
         res = checkpoint_potrf(
             machine,
@@ -227,6 +228,7 @@ def execute_fallback(
             numerics="shadow",
         )
         residual = None
+        factor = None
     return AttemptOutcome(
         sim_makespan=res.makespan,
         corrected_errors=res.stats.data_corrections + res.stats.checksum_corrections,
@@ -237,5 +239,5 @@ def execute_fallback(
         extras={"checkpoints_taken": res.checkpoints_taken},
         corrected_sites=list(res.stats.corrected_sites),
         stats=res.stats,
-        factor=res.factor if job.numerics == "real" else None,
+        factor=factor,
     )

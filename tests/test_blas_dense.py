@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blas.dense import gemm_update, gemv, potf2, syrk_update, trsm_right_lt
 from repro.blas.spd import random_spd
@@ -57,12 +59,64 @@ class TestGemmUpdate:
             gemm_update(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 3)))
 
 
+def _scalar_potf2(a: np.ndarray) -> tuple[np.ndarray | None, int | None]:
+    """Reference: the scalar dpotf2 recurrence on the lower triangle of *a*.
+
+    Returns ``(L, None)``, or ``(None, j)`` at the first pivot j that is
+    not positive and finite.
+    """
+    w = np.tril(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(w.shape[0]):
+            pivot = w[j, j]
+            if not (pivot > 0.0 and np.isfinite(pivot)):
+                return None, j
+            w[j, j] = ljj = np.sqrt(pivot)
+            w[j + 1 :, j] /= ljj
+            w[j + 1 :, j + 1 :] -= np.outer(w[j + 1 :, j], w[j + 1 :, j])
+    return np.tril(w), None
+
+
 class TestPotf2:
     def test_matches_lapack(self):
         a = random_spd(16, rng=3)
         expected = np.linalg.cholesky(a)
         potf2(a)
         np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(min_value=1, max_value=192), seed=st.integers(0, 2**20))
+    def test_bit_equal_to_lapack_on_a_tile_view(self, b, seed):
+        """Every driver passes a non-contiguous tile view of the n×n matrix."""
+        big = random_spd(3 * b, rng=seed)
+        expected = np.linalg.cholesky(big[b : 2 * b, b : 2 * b].copy())
+        rest = big.copy()
+        tile = big[b : 2 * b, b : 2 * b]
+        assert not tile.flags.c_contiguous or b == 1
+        potf2(tile)
+        assert np.array_equal(tile, expected)
+        rest[b : 2 * b, b : 2 * b] = expected
+        assert np.array_equal(big, rest)  # nothing outside the tile moved
+
+    @pytest.mark.parametrize("b", [16, 96, 192])
+    def test_close_to_the_scalar_recurrence(self, b):
+        """LAPACK sums in another order: agreement to b·eps of the largest |L|."""
+        a = random_spd(b, rng=16)
+        expected, _ = _scalar_potf2(a)
+        potf2(a)
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(a, expected, rtol=0, atol=b * eps * np.abs(expected).max())
+
+    @pytest.mark.parametrize("garbage", [np.nan, np.inf, -np.inf, -1e300, "random"])
+    def test_reads_only_the_lower_triangle(self, garbage):
+        clean = random_spd(24, rng=12)
+        a = clean.copy()
+        upper = np.triu_indices(24, k=1)
+        fill = np.random.default_rng(13).standard_normal(upper[0].size)
+        a[upper] = fill if garbage == "random" else garbage
+        potf2(a)
+        assert np.array_equal(a, np.linalg.cholesky(clean))
+        assert np.all(a[upper] == 0.0)
 
     def test_zeroes_upper_triangle(self):
         a = random_spd(8, rng=4)
@@ -85,7 +139,50 @@ class TestPotf2:
         with pytest.raises(SingularBlockError) as exc_info:
             potf2(a, block_index=7)
         assert exc_info.value.block_index == 7
-        assert exc_info.value.pivot <= 3
+        assert exc_info.value.pivot == 3
+
+    # B = 16 and 96 sit on either side of LAPACK's unblocked/blocked cutoff.
+    @pytest.mark.parametrize("b", [16, 96])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_fail_stop_names_the_bad_pivot(self, b, where, bad):
+        j = {"first": 0, "middle": b // 2, "last": b - 1}[where]
+        a = random_spd(b, rng=14)
+        a[j, j] = bad
+        before = a.copy()
+        assert _scalar_potf2(a)[1] == j
+        with pytest.raises(SingularBlockError) as exc_info:
+            potf2(a, block_index=5)
+        err = exc_info.value
+        assert (err.block_index, err.pivot) == (5, j)
+        assert not (err.value > 0.0 and np.isfinite(err.value))
+        assert np.array_equal(a, before, equal_nan=True)  # the tile is left as it came
+
+    @pytest.mark.parametrize("b", [16, 96])
+    def test_fail_stop_on_inf_below_the_diagonal(self, b):
+        """An inf at (i, k) drives pivot i to -inf: the recurrence stops at row i."""
+        i = b - 2
+        a = random_spd(b, rng=15)
+        a[i, b // 2] = np.inf
+        assert _scalar_potf2(a)[1] == i
+        with pytest.raises(SingularBlockError) as exc_info:
+            potf2(a, block_index=2)
+        assert (exc_info.value.block_index, exc_info.value.pivot) == (2, i)
+
+    def test_lapack_rejection_stands_where_the_recurrence_passes(self, monkeypatch):
+        """The smallest pivot of a recurrence that gets through names the failure."""
+
+        def reject(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject)
+        a = np.diag([4.0, 1.0, 9.0])
+        assert _scalar_potf2(a)[1] is None
+        with pytest.raises(SingularBlockError) as exc_info:
+            potf2(a, block_index=3)
+        err = exc_info.value
+        assert (err.block_index, err.pivot, err.value) == (3, 1, 1.0)
+        assert np.array_equal(a, np.diag([4.0, 1.0, 9.0]))
 
     def test_fail_stop_on_nan(self):
         a = random_spd(4, rng=6)

@@ -13,11 +13,16 @@ or failed service.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exec import AttemptRequest, InlineExecutor, ProcessExecutor, ThreadExecutor, make_executor
 from repro.faults.injector import single_storage_fault
 from repro.hetero.machine import Machine
@@ -267,3 +272,25 @@ class TestPoolLifecycle:
         finally:
             state.close()
             arena.release()
+
+
+class TestWorkerImports:
+    def test_worker_import_chain_loads_no_scipy(self):
+        # scipy.linalg adds about 22 MiB of RSS to every pool worker on
+        # import and 26 MiB once dtrsm has run, so the host kernels stay on
+        # NumPy's own LAPACK (POTF2 is one np.linalg.cholesky call).  A
+        # fresh interpreter sees the worker's import chain alone.
+        src = Path(repro.__file__).resolve().parent.parent
+        code = (
+            "import sys, repro.exec.worker; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
