@@ -265,12 +265,12 @@ class ChecksumUpdater:
             return None
 
         def numerics() -> None:
-            # One solve over the stacked panel: forward substitution is
-            # row-independent, so the stacked solve computes the same
+            # One solve over the stacked panel: no step of the blocked
+            # solve mixes rows, so the stacked solve computes the same
             # quantities as the per-strip loop (BLAS may pick a different
-            # kernel for the taller operand — ulps below any tolerance —
-            # and the call is unconditional, so both verification modes
-            # see identical strips).
+            # GEMM kernel for the taller operand — ulps below any
+            # tolerance — and the call is unconditional, so both
+            # verification modes see identical strips).
             trsm_right_lt(
                 self.chk.strip_panel(j + 1, nb, j, j + 1), self.matrix.block(j, j)
             )

@@ -142,8 +142,9 @@ class TaintState:
     def propagated_through_trsm(self) -> "TaintState":
         """Taint of ``X = B · L^{-T}`` contributed by the B operand.
 
-        Forward substitution spreads an error in B[r, c] across columns
-        c..B-1 of row r; conservatively: the whole row r.
+        The solve spreads an error in B[r, c] across columns c..B-1 of
+        row r (an inf or NaN also reaches the earlier columns of its
+        32-column block); conservatively: the whole row r.
         """
         if self.full or self.cols:
             return TaintState(full=True)

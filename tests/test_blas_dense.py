@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blas.dense import gemm_update, gemv, potf2, syrk_update, trsm_right_lt
-from repro.blas.spd import random_spd
+from repro.blas.spd import ill_conditioned_spd, random_spd
+from repro.faults.bitflip import flip_bit
 from repro.util.exceptions import SingularBlockError, ValidationError
 
 
@@ -196,6 +197,47 @@ class TestPotf2:
             potf2(a)
 
 
+def _substitution(b: np.ndarray, ell: np.ndarray) -> None:
+    """Reference: column substitution ``B ← B · L^{-T}`` in place.
+
+    Column j of X needs only columns 0..j-1, since ``(X L^T)[:, j] =
+    Σ_{k<=j} X[:, k] · L[j, k]``.  The kernel falls back to this loop on a
+    diagonal block it cannot invert.
+    """
+    for j in range(ell.shape[0]):
+        if j > 0:
+            b[:, j] -= b[:, :j] @ ell[j, :j]
+        b[:, j] /= ell[j, j]
+
+
+def _backward_error(x: np.ndarray, ell: np.ndarray, b: np.ndarray) -> float:
+    """Normwise backward error ``‖X·Lᵀ − B‖ / (‖X‖·‖L‖ + ‖B‖)`` (Frobenius)."""
+    scale = np.linalg.norm(x) * np.linalg.norm(ell) + np.linalg.norm(b)
+    return float(np.linalg.norm(x @ ell.T - b) / scale)
+
+
+def _flip_bit62(x: float) -> float:
+    """*x* with its top exponent bit flipped (a value in [2, 4) turns subnormal)."""
+    a = np.array([x])
+    flip_bit(a, (0,), 62)
+    return float(a[0])
+
+
+_EPS = np.finfo(np.float64).eps
+#: bad pivots; the bit-62 flip of 3.0 is a subnormal with a finite inverse
+_BAD_PIVOTS = {
+    "zero": 0.0,
+    "minus-zero": -0.0,
+    "nan": np.nan,
+    "inf": np.inf,
+    "minus-inf": -np.inf,
+    "subnormal": 5e-324,
+    "subnormal-bit62": _flip_bit62(3.0),
+    "negative": -1.0,
+}
+_BAD_BELOW = {"inf": np.inf, "minus-inf": -np.inf, "nan": np.nan}
+
+
 class TestTrsmRightLT:
     def test_solves_system(self):
         rng = np.random.default_rng(7)
@@ -222,6 +264,88 @@ class TestTrsmRightLT:
         b = strip_true @ ell.T
         trsm_right_lt(b, ell)
         np.testing.assert_allclose(b, strip_true, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([1, 31, 32, 33, 100]), st.integers(1, 200)),
+        rows=st.sampled_from(["1", "2", "n", "7n"]),
+        seed=st.integers(0, 2**20),
+    )
+    def test_backward_error_no_worse_than_substitution(self, n, rows, seed):
+        """Every driver passes tile views: both operands are strided views here."""
+        m = {"1": 1, "2": 2, "n": n, "7n": 7 * n}[rows]
+        rng = np.random.default_rng(seed)
+        host = np.tril(rng.standard_normal((3 * n, 3 * n)))
+        host[n : 2 * n, n : 2 * n] = np.linalg.cholesky(random_spd(n, rng=seed))
+        ell = host[n : 2 * n, n : 2 * n]
+        panel = rng.standard_normal((m + 2, 3 * n))
+        b = panel[1 : m + 1, n : 2 * n]
+        assert n == 1 or not ell.flags.c_contiguous
+        assert m == 1 or not b.flags.c_contiguous
+        rhs = b.copy()
+        expected = rhs.copy()
+        _substitution(expected, ell)
+        untouched = panel.copy()
+        trsm_right_lt(b, ell)
+        eta = _backward_error(b, ell, rhs)
+        assert eta < n * _EPS
+        assert eta <= 2 * _backward_error(expected, ell, rhs) + _EPS
+        untouched[1 : m + 1, n : 2 * n] = b
+        assert np.array_equal(panel, untouched)  # nothing outside the view moved
+
+    # 7n rows, the shape of the 1344×192 panel: over a 2-row strip the
+    # ratio of two single-sample errors is noise (docs/performance.md).
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10, 1e14])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 100, 192])
+    def test_forward_error_within_4x_of_substitution(self, n, cond):
+        ell = np.linalg.cholesky(ill_conditioned_spd(n, cond, rng=17))
+        x_true = np.random.default_rng(18).standard_normal((7 * n, n))
+        b = x_true @ ell.T
+        expected = b.copy()
+        _substitution(expected, ell)
+        trsm_right_lt(b, ell)
+        error = np.linalg.norm(b - x_true) / np.linalg.norm(x_true)
+        error_ref = np.linalg.norm(expected - x_true) / np.linalg.norm(x_true)
+        assert error <= 4 * error_ref + n * _EPS
+
+    @pytest.mark.parametrize("garbage", [np.nan, np.inf, -np.inf, "random"])
+    @pytest.mark.parametrize("n", [16, 32, 33, 100])
+    def test_reads_only_the_lower_triangle(self, n, garbage):
+        ell = np.linalg.cholesky(random_spd(n, rng=19))
+        dirty = ell.copy()
+        upper = np.triu_indices(n, k=1)
+        fill = np.random.default_rng(20).standard_normal(upper[0].size)
+        dirty[upper] = fill if garbage == "random" else garbage
+        b = np.random.default_rng(21).standard_normal((2 * n, n))
+        expected = b.copy()
+        trsm_right_lt(expected, ell)
+        trsm_right_lt(b, dirty)
+        assert np.array_equal(b, expected)
+
+    # B = 16 is one block; 96, 100 and 192 put the bad entry in the first,
+    # a middle and the last block, and on either side of a block edge.
+    @pytest.mark.parametrize("n", [16, 96, 100, 192])
+    @pytest.mark.parametrize(
+        "where, bad",
+        [("pivot", name) for name in _BAD_PIVOTS] + [("below", name) for name in _BAD_BELOW],
+    )
+    def test_bad_factor_entry_keeps_every_non_finite(self, n, where, bad):
+        """No raise, and no entry finite that substitution leaves non-finite."""
+        value = (_BAD_PIVOTS if where == "pivot" else _BAD_BELOW)[bad]
+        clean = np.linalg.cholesky(random_spd(n, rng=22))
+        rhs = np.random.default_rng(23).standard_normal((2 * n, n))
+        for j in sorted({0, n // 2, n - 1, 31, 32, 33} & set(range(n))):
+            # below the diagonal: right under the pivot, and in the last row
+            cells = [(j, j)] if where == "pivot" else [(i, j) for i in sorted({j + 1, n - 1}) if j < i < n]
+            for cell in cells:
+                ell = clean.copy()
+                ell[cell] = value
+                expected, got = rhs.copy(), rhs.copy()
+                with np.errstate(all="ignore"):
+                    _substitution(expected, ell)
+                    trsm_right_lt(got, ell)
+                hidden = ~np.isfinite(expected) & np.isfinite(got)
+                assert not hidden.any(), f"{cell}: {hidden.sum()} entries left finite"
 
 
 class TestGemv:

@@ -278,12 +278,22 @@ class TestWorkerImports:
     def test_worker_import_chain_loads_no_scipy(self):
         # scipy.linalg adds about 22 MiB of RSS to every pool worker on
         # import and 26 MiB once dtrsm has run, so the host kernels stay on
-        # NumPy's own LAPACK (POTF2 is one np.linalg.cholesky call).  A
-        # fresh interpreter sees the worker's import chain alone.
+        # NumPy's own LAPACK: POTF2 is one np.linalg.cholesky call and TRSM
+        # inverts its diagonal blocks with np.linalg.inv.  A fresh
+        # interpreter imports the worker and runs one attempt per engine
+        # through its execution path, so a lazy import inside a kernel
+        # shows up too.
         src = Path(repro.__file__).resolve().parent.parent
         code = (
-            "import sys, repro.exec.worker; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+            "import sys\n"
+            "from repro.exec.worker import WorkerState, run_task\n"
+            "from repro.service.job import Job\n"
+            "state = WorkerState()\n"
+            "for scheme, workers in (('enhanced', 1), ('dag', 2)):\n"
+            "    job = Job(job_id=1, n=128, scheme=scheme, block_size=32, intra_workers=workers)\n"
+            "    payload = {'job': job, 'preset': 'tardis', 'kind': 'attempt', 'retry': None}\n"
+            "    assert run_task(payload, state).residual < 1e-12\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
