@@ -161,33 +161,33 @@ class Verifier:
         cost = self.ctx.cost.gemv_recalc(
             self.matrix.block_size, self.matrix.block_size, n_vectors=self.n_checksums
         )
-        shares: dict[str, list[tuple[int, int]]] = {}
-        for idx, key in enumerate(keys):
-            s = self.streams[idx % len(self.streams)]
-            shares.setdefault(s.name, []).append(key)
+        tag = {} if iteration is None else {"iteration": iteration}
+        n_streams = len(self.streams)
+        share_costs: dict[int, KernelCost] = {}  # shares differ in size by <= 1
         tails: list[Task] = []
-        for s in self.streams:
-            share = shares.get(s.name, [])
+        for i, s in enumerate(self.streams):
+            # Round-robin: stream i takes keys i, i + n_streams, ...
+            share = keys[i::n_streams]
             if not share:
                 continue
+            size = len(share)
+            if size not in share_costs:
+                share_costs[size] = KernelCost(duration=cost.duration * size, util=cost.util)
             tails.append(
                 self.ctx.launch_gpu(
                     f"recalc[{label}]@{s.name}",
                     kind="recalc",
-                    cost=KernelCost(duration=cost.duration * len(share), util=cost.util),
+                    cost=share_costs[size],
                     stream=s,
                     deps=deps,
-                    tiles=len(share),
+                    tiles=size,
                     tile_reads=share,
                     chk_reads=share,
-                    **({} if iteration is None else {"iteration": iteration}),
+                    **tag,
                 )
             )
         barrier = self.ctx.graph.barrier(
-            f"verified[{label}]",
-            tails,
-            tile_verifies=keys,
-            **({} if iteration is None else {"iteration": iteration}),
+            f"verified[{label}]", tails, tile_verifies=keys, **tag
         )
         self.stats.batches += 1
         self.stats.tiles_verified += len(keys)
@@ -195,7 +195,8 @@ class Verifier:
             t0 = time.perf_counter()
             self.check_real(keys)
             self.stats.check_wall_s += time.perf_counter() - t0
-        else:
+        elif self.matrix.any_taint() or self.chk.any_taint():
+            # Clean buffers verify clean tile by tile: only walk dirty ones.
             for key in keys:
                 self._check_tile_shadow(key)
         return barrier

@@ -190,7 +190,7 @@ class ChecksumUpdater:
             chk_reads=[(j, k) for k in range(j)] + [(j, j)],
             chk_writes=[(j, j)],
         )
-        self._propagate_from_row(j, out_key=(j, j), strip_sources=[(j, k) for k in range(j)])
+        self._propagate_from_row(j, out_key=(j, j))
         return task
 
     def update_gemm(self, j: int, deps: list[Task] | None = None) -> Task | None:
@@ -231,9 +231,7 @@ class ChecksumUpdater:
             chk_writes=[(i, j) for i in range(j + 1, nb)],
         )
         for i in range(j + 1, nb):
-            self._propagate_from_row(
-                j, out_key=(i, j), strip_sources=[(i, k) for k in range(j)]
-            )
+            self._propagate_from_row(j, out_key=(i, j))
         return task
 
     def update_potf2(self, j: int, deps: list[Task] | None = None) -> Task:
@@ -292,26 +290,26 @@ class ChecksumUpdater:
 
     # ------------------------------------------------------------------ taint
 
-    def _propagate_from_row(
-        self,
-        j: int,
-        out_key: tuple[int, int],
-        strip_sources: list[tuple[int, int]],
-    ) -> None:
+    def _propagate_from_row(self, j: int, out_key: tuple[int, int]) -> None:
         """SYRK/GEMM strip update taint: corrupted L row j data or corrupted
-        source strips make the output strip untrustworthy."""
-        out = self.chk.taint_of(out_key)
-        for k in range(j):
-            if not self.matrix.taint_of((j, k)).is_clean():
-                out.merge(TaintState(full=True))
-                return
-        for src in strip_sources:
-            if not self.chk.taint_of(src).is_clean():
-                out.merge(TaintState(full=True))
-                return
+        source strips ``(i, 0..j-1)`` of the output's block row i make the
+        output strip untrustworthy.  A clean buffer is not walked."""
+        if self.matrix.any_taint():
+            for k in range(j):
+                if not self.matrix.taint_of((j, k)).is_clean():
+                    self.chk.taint_of(out_key).merge(TaintState(full=True))
+                    return
+        if self.chk.any_taint():
+            i = out_key[0]
+            for k in range(j):
+                if not self.chk.taint_of((i, k)).is_clean():
+                    self.chk.taint_of(out_key).merge(TaintState(full=True))
+                    return
 
     def _propagate_trsm_like(self, key: tuple[int, int], j: int) -> None:
         """POTF2/TRSM strip update taint: a corrupted L_jj poisons the solve."""
+        if not self.matrix.any_taint():
+            return
         if not self.matrix.taint_of((j, j)).is_clean():
             self.chk.taint_of(key).merge(TaintState(full=True))
 

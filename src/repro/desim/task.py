@@ -49,7 +49,7 @@ class Task:
     kind: str = "task"
     meta: dict[str, Any] = field(default_factory=dict)
     deps: list["Task"] = field(default_factory=list)
-    tid: int = field(default_factory=lambda: next(_task_ids), init=False)
+    tid: int = field(default_factory=_task_ids.__next__, init=False)
 
     # Filled in by the engine:
     start_time: float = field(default=-1.0, init=False)
@@ -110,14 +110,25 @@ class TaskGraph:
         **meta: Any,
     ) -> Task:
         """Create, register and return a new task."""
-        task = Task(
-            name=name,
-            resource=resource,
-            duration=duration,
-            util=util,
-            kind=kind,
-            meta=meta,
-        )
+        return self.record(name, resource, duration, util, kind, deps, meta)
+
+    def record(
+        self,
+        name: str,
+        resource: Resource | None,
+        duration: float,
+        util: float,
+        kind: str,
+        deps: list[Task] | None,
+        meta: dict[str, Any],
+    ) -> Task:
+        """:meth:`new` with every argument explicit; the task keeps *meta*.
+
+        The launch path of :class:`~repro.hetero.context.ExecutionContext`
+        records thousands of tasks per factorization and passes its own
+        freshly built meta dict here instead of re-packing it as keywords.
+        """
+        task = Task(name, resource, duration, util, kind, meta)
         if deps:
             task.after(*deps)
         return self.add(task)

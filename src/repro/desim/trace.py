@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.desim.task import Task
 from repro.util.formatting import render_table
@@ -33,9 +32,13 @@ META_ITERATION = "iteration"
 META_JOB = "job"
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """One completed task occurrence on the simulated clock."""
+class Span(NamedTuple):
+    """One completed task occurrence on the simulated clock.
+
+    An immutable tuple record: the engine builds one per task, and the
+    process pool pickles a job's whole timeline back to the parent, so
+    construction and pickling cost matter.
+    """
 
     tid: int
     name: str
@@ -48,15 +51,17 @@ class Span:
 
     @classmethod
     def from_task(cls, task: Task) -> "Span":
+        deps = task.deps
+        resource = task.resource
         return cls(
-            tid=task.tid,
-            name=task.name,
-            kind=task.kind,
-            resource=task.resource.name if task.resource else None,
-            start=task.start_time,
-            finish=task.finish_time,
-            meta=dict(task.meta),
-            deps=tuple(sorted({d.tid for d in task.deps})),
+            task.tid,
+            task.name,
+            task.kind,
+            None if resource is None else resource.name,
+            task.start_time,
+            task.finish_time,
+            dict(task.meta),
+            (deps[0].tid,) if len(deps) == 1 else tuple(sorted({d.tid for d in deps})),
         )
 
     @property

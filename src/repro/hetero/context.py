@@ -171,16 +171,10 @@ class ExecutionContext:
         **meta: Any,
     ) -> Task:
         """Issue one GPU kernel into *stream*; run its numerics if real."""
-        task = self.graph.new(
-            name,
-            resource=self.gpu_res,
-            duration=cost.duration,
-            util=cost.util,
-            kind=kind,
-            deps=deps,
-            **meta,
+        meta.setdefault(META_STREAM, stream.name)
+        task = self.graph.record(
+            name, self.gpu_res, cost.duration, cost.util, kind, deps, meta
         )
-        task.meta.setdefault(META_STREAM, stream.name)
         stream.chain(task)
         if self.real and fn is not None:
             fn()
@@ -196,16 +190,10 @@ class ExecutionContext:
         **meta: Any,
     ) -> Task:
         """Issue one host call (ordered after earlier host work)."""
-        task = self.graph.new(
-            name,
-            resource=self.cpu_res,
-            duration=cost.duration,
-            util=cost.util,
-            kind=kind,
-            deps=deps,
-            **meta,
+        meta.setdefault(META_STREAM, self._host.name)
+        task = self.graph.record(
+            name, self.cpu_res, cost.duration, cost.util, kind, deps, meta
         )
-        task.meta.setdefault(META_STREAM, self._host.name)
         self._host.chain(task)
         if self.real and fn is not None:
             fn()
@@ -221,18 +209,13 @@ class ExecutionContext:
     ) -> Task:
         """Device→host copy; chained into *stream* if given (async copy)."""
         cost = self.cost.transfer(nbytes)
-        task = self.graph.new(
-            name,
-            resource=self.d2h_res,
-            duration=cost.duration,
-            util=cost.util,
-            kind="d2h",
-            deps=deps,
-            bytes=nbytes,
-            **meta,
+        meta = {"bytes": nbytes, **meta}
+        if stream is not None:
+            meta.setdefault(META_STREAM, stream.name)
+        task = self.graph.record(
+            name, self.d2h_res, cost.duration, cost.util, "d2h", deps, meta
         )
         if stream is not None:
-            task.meta.setdefault(META_STREAM, stream.name)
             stream.chain(task)
         return task
 
@@ -246,18 +229,13 @@ class ExecutionContext:
     ) -> Task:
         """Host→device copy; chained into *stream* if given."""
         cost = self.cost.transfer(nbytes)
-        task = self.graph.new(
-            name,
-            resource=self.h2d_res,
-            duration=cost.duration,
-            util=cost.util,
-            kind="h2d",
-            deps=deps,
-            bytes=nbytes,
-            **meta,
+        meta = {"bytes": nbytes, **meta}
+        if stream is not None:
+            meta.setdefault(META_STREAM, stream.name)
+        task = self.graph.record(
+            name, self.h2d_res, cost.duration, cost.util, "h2d", deps, meta
         )
         if stream is not None:
-            task.meta.setdefault(META_STREAM, stream.name)
             stream.chain(task)
         return task
 

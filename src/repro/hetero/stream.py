@@ -25,7 +25,7 @@ class Stream:
     def chain(self, task: Task) -> Task:
         """Make *task* the stream's new tail (ordered after the old tail)."""
         if self.last is not None:
-            task.after(self.last)
+            task.deps.append(self.last)
         self.last = task
         return task
 

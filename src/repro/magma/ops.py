@@ -7,7 +7,8 @@ Each ``*_op`` function issues one operation of iteration *j* against an
   device matrix's tile views;
 - **both modes**: corruption taint is propagated from inputs to outputs
   with the conservative data-flow rules of
-  :class:`repro.faults.taint.TaintState`;
+  :class:`repro.faults.taint.TaintState` (skipped outright while the
+  matrix holds no taint: merging a clean source changes nothing);
 - **both modes**: a priced task is recorded into the context's task graph
   (GPU stream for SYRK/GEMM/TRSM, the CPU for POTF2).
 
@@ -55,6 +56,8 @@ def syrk_op(
         tile_reads=[(j, k) for k in range(j)] + [(j, j)],
         tile_writes=[(j, j)],
     )
+    if not matrix.any_taint():
+        return task
     out = matrix.taint_of((j, j))
     for k in range(j):
         src = matrix.taint_of((j, k))
@@ -103,6 +106,8 @@ def gemm_op(
         ),
         tile_writes=[(i, j) for i in range(j + 1, nb)],
     )
+    if not matrix.any_taint():
+        return task
     # Taint: output tile (i, j) collects the left factor's row corruption
     # from every (i, k) and the right factor's column corruption from (j, k).
     right = TaintState()
@@ -183,6 +188,8 @@ def trsm_op(
         tile_reads=[(j, j)] + [(i, j) for i in range(j + 1, nb)],
         tile_writes=[(i, j) for i in range(j + 1, nb)],
     )
+    if not matrix.any_taint():
+        return task
     ell_taint = matrix.taint_of((j, j))
     for i in range(j + 1, nb):
         out = matrix.taint_of((i, j))

@@ -548,12 +548,21 @@ def scenario_stop_race(cfg: ChaosConfig) -> ScenarioResult:
 
 def scenario_breaker_failover(cfg: ChaosConfig) -> ScenarioResult:
     """Repeated crashes open the process breaker; traffic degrades to the
-    thread backend and recovers back once a half-open probe succeeds."""
+    thread backend and recovers back once a half-open probe succeeds.
+
+    One pool worker serializes the dispatches, so the two armed crashes
+    hit dispatches 1 and 2 and their failures are recorded back to back.
+    A success clears the breaker's failure window, so a job finishing on a
+    second, healthy worker between the two failures would keep the
+    threshold of 2 from ever being reached.
+    """
     jobs = _jobs(cfg)
     recovery_jobs = _jobs(cfg, count=2, id_base=100)
     refs = _reference_factors(jobs + recovery_jobs)
     service = _service(
         cfg,
+        workers=("tardis:1",),
+        exec_workers=1,
         failover=True,
         breaker=BreakerPolicy(failure_threshold=2, window_s=30.0, probe_backoff_s=0.4),
     )

@@ -1,11 +1,18 @@
 """Unit tests for timeline/span queries."""
 
+import pickle
+
 import pytest
 
+from repro.analysis.trace_io import dump_trace, load_trace
+from repro.blas.spd import random_spd
+from repro.core import AbftConfig, enhanced_potrf
 from repro.desim.engine import Engine
 from repro.desim.resource import Resource
 from repro.desim.task import TaskGraph
-from repro.desim.trace import Span, Timeline
+from repro.desim.trace import META_JOB, Span, Timeline
+from repro.hetero.machine import Machine
+from repro.service import tag_timeline
 
 
 def build_timeline():
@@ -99,3 +106,65 @@ class TestGantt:
     def test_custom_lanes(self):
         out = build_timeline().render_gantt(width=20, lanes=["gpu"])
         assert "cpu |" not in out
+
+
+def _bits(span):
+    """Every field of *span*, floats compared by their bit pattern."""
+    return (*span[:4], span.start.hex(), span.finish.hex(), span.meta, span.deps)
+
+
+@pytest.fixture(scope="module")
+def scheme_timeline():
+    """A real-mode enhanced run with host-side updating (transfers too)."""
+    res = enhanced_potrf(
+        Machine.preset("tardis"),
+        a=random_spd(256, rng=3),
+        block_size=32,
+        config=AbftConfig(updating_placement="cpu"),
+    )
+    return res.timeline
+
+
+class TestSpanRecords:
+    def test_positional_keyword_and_default_construction(self):
+        a = Span(4, "k", "gemm", "gpu", 1.0, 2.5, {"iteration": 1})
+        b = Span(tid=4, name="k", kind="gemm", resource="gpu", start=1.0, finish=2.5, meta={"iteration": 1})
+        assert a == b and a.deps == () and a.duration == 1.5
+        assert Span._fields == ("tid", "name", "kind", "resource", "start", "finish", "meta", "deps")
+
+    def test_immutable(self):
+        span = Span(0, "a", "k", None, 0.0, 0.0, {})
+        with pytest.raises(AttributeError):
+            span.start = 1.0  # type: ignore[misc]
+
+    def test_from_task_sorts_and_dedups_deps(self):
+        g = TaskGraph()
+        r = Resource("r")
+        a = g.new("a", resource=r, duration=1.0)
+        b = g.new("b", resource=r, duration=1.0)
+        c = g.new("c", deps=[b, a, b], stage=2)
+        Engine().run(g)
+        span = Span.from_task(c)
+        assert span.deps == (a.tid, b.tid)
+        assert span.resource is None and span.meta == {"stage": 2}
+        assert span.meta is not c.meta
+        assert Span.from_task(b).deps == ()
+
+    def test_timeline_pickles_span_for_span(self, scheme_timeline):
+        back = pickle.loads(pickle.dumps(scheme_timeline))
+        assert len(back) == len(scheme_timeline) > 0
+        assert all(type(s) is Span for s in back)
+        assert [_bits(s) for s in back] == [_bits(s) for s in scheme_timeline]
+
+    def test_timeline_survives_dump_and_load(self, scheme_timeline, tmp_path):
+        path = dump_trace(scheme_timeline, "enhanced", tmp_path / "t.json")
+        back, scheme = load_trace(path)
+        assert scheme == "enhanced"
+        assert [_bits(s) for s in back] == [_bits(s) for s in scheme_timeline]
+
+    def test_tag_timeline_tags_every_span(self, scheme_timeline):
+        tagged = tag_timeline(scheme_timeline, 41)
+        assert len(tagged) == len(scheme_timeline)
+        for new, old in zip(tagged, scheme_timeline):
+            assert new.meta == {**old.meta, META_JOB: 41}
+            assert new._replace(meta=old.meta) == old
