@@ -28,13 +28,7 @@ Commands:
     stdin (JSONL) job stream; print metrics when the stream drains.
 ``loadgen``
     Drive the service with a Poisson open-loop or closed-loop workload
-    and print a latency/throughput report.  ``--cluster N`` drives an
-    N-shard cluster instead (optionally killing a shard mid-run).
-``cluster``
-    Operate the sharded cluster front-end: ``start`` N shard processes
-    behind a consistent-hash router, ``status``/``drain`` a running
-    cluster via its manifest, and ``bench`` throughput scaling vs a
-    single shard (writes ``BENCH_cluster.json``).
+    and print a latency/throughput report.
 ``chaos``
     Run the chaos campaign: system-level fault scenarios (worker kill,
     wedge, shm corruption, queue flood, kill-and-restart recovery …)
@@ -385,8 +379,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.service import LoadGenConfig, run_load
     from repro.service.job import JobStatus
 
-    if args.cluster:
-        return _cmd_loadgen_cluster(args)
     service = _service_from_args(args)
     cfg = LoadGenConfig(
         jobs=args.jobs,
@@ -415,238 +407,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         for r in failed:
             print(f"job {r.job_id} failed: {r.error}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_loadgen_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-    from pathlib import Path
-
-    from repro.cluster import ClusterConfig, cluster_to_prometheus, run_cluster_load
-    from repro.service import LoadGenConfig
-
-    cluster_cfg = ClusterConfig(
-        shards=args.cluster,
-        workers=tuple(args.workers),
-        executor=args.executor,
-        exec_workers=args.exec_workers,
-        max_queue_depth=args.max_depth,
-        job_timeout_s=args.job_timeout,
-    )
-    cfg = LoadGenConfig(
-        jobs=args.jobs,
-        sizes=tuple(args.sizes),
-        block_size=args.block_size,
-        scheme=args.scheme,
-        fault_prob=args.fault_prob,
-        fault_kind=args.fault_kind,
-        seed=args.seed,
-        rate=args.rate,
-        concurrency=args.closed,
-    )
-    report, results, aggregate = asyncio.run(
-        run_cluster_load(
-            cluster_cfg,
-            cfg,
-            kill_shard_after=args.kill_shard_after,
-            kill_index=args.kill_index,
-        )
-    )
-    if args.json:
-        import dataclasses
-
-        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
-    else:
-        chaos = (
-            f", kill shard-{args.kill_index} after {args.kill_shard_after}"
-            if args.kill_shard_after is not None
-            else ""
-        )
-        print(report.render(f"cluster loadgen — {cfg.jobs} jobs, {args.cluster} shards{chaos}"))
-    # notices go to stderr: with --json, stdout is the scorecard document
-    if args.metrics_out:
-        Path(args.metrics_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.metrics_out).write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
-        print(f"cluster metrics JSON written to {args.metrics_out}", file=sys.stderr)
-    if args.prometheus_out:
-        Path(args.prometheus_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.prometheus_out).write_text(cluster_to_prometheus(aggregate))
-        print(f"cluster Prometheus metrics written to {args.prometheus_out}", file=sys.stderr)
-    failed = [r for r in results if not r.completed]
-    if report.lost or failed:
-        for r in failed:
-            print(f"job {r.key} failed on {r.shard}: {r.error}", file=sys.stderr)
-        if report.lost:
-            print(f"repro: loadgen: {report.lost} accepted job(s) never resolved", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.util.exceptions import ClusterError
-
-    try:
-        if args.cluster_cmd == "start":
-            return _cmd_cluster_start(args)
-        if args.cluster_cmd == "status":
-            return _cmd_cluster_status(args)
-        if args.cluster_cmd == "drain":
-            from repro.cluster.ops import cluster_drain
-
-            drained = asyncio.run(cluster_drain(args.workdir, timeout_s=args.timeout))
-            print(f"drained: {', '.join(drained) if drained else 'no shards reachable'}")
-            return 0 if drained else 1
-        return _cmd_cluster_bench(args)
-    except ClusterError as exc:
-        # Operational errors (no manifest, unreachable shards) are expected
-        # operator mistakes, not crashes — same contract as ValidationError.
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_cluster_start(args: argparse.Namespace) -> int:
-    import asyncio
-    import contextlib
-    import signal
-
-    from repro.cluster import ClusterConfig, ClusterRouter
-    from repro.cluster.ops import write_manifest
-
-    async def serve() -> None:
-        cfg = ClusterConfig(
-            shards=args.shards,
-            workdir=args.workdir,
-            workers=tuple(args.workers),
-            executor=args.executor,
-            exec_workers=args.exec_workers,
-            max_queue_depth=args.max_depth,
-            job_timeout_s=args.job_timeout,
-        )
-        router = ClusterRouter(cfg)
-        await router.start()
-        manifest = await asyncio.to_thread(write_manifest, router)
-        print(f"cluster up: {cfg.shards} shards, manifest at {manifest}")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
-        try:
-            await stop.wait()
-            print("cluster shutting down")
-        finally:
-            await router.stop()
-            with contextlib.suppress(FileNotFoundError):
-                manifest.unlink()
-
-    asyncio.run(serve())
-    return 0
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-    from pathlib import Path
-
-    from repro.cluster import cluster_to_prometheus
-    from repro.cluster.ops import cluster_status
-
-    doc = asyncio.run(cluster_status(args.workdir, timeout_s=args.timeout))
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for shard in doc["shards"]:
-            if shard["alive"]:
-                rows.append(
-                    (
-                        shard["name"],
-                        "up",
-                        shard["queue_depth"],
-                        shard["inflight"],
-                        shard["completed"],
-                        shard["failed"],
-                        shard["rejected"],
-                    )
-                )
-            else:
-                rows.append((shard["name"], "unreachable", "-", "-", "-", "-", "-"))
-        print(
-            render_table(
-                ["shard", "state", "queued", "inflight", "completed", "failed", "rejected"],
-                rows,
-                title=f"cluster status — {doc['workdir']}",
-            )
-        )
-    if args.prometheus_out:
-        Path(args.prometheus_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.prometheus_out).write_text(cluster_to_prometheus(doc["metrics"]))
-        print(f"cluster Prometheus metrics written to {args.prometheus_out}")
-    return 0 if all(s["alive"] for s in doc["shards"]) else 1
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-    from pathlib import Path
-
-    from repro.cluster import bench_cluster
-    from repro.service import LoadGenConfig
-
-    cfg = LoadGenConfig(
-        jobs=args.jobs,
-        sizes=tuple(args.sizes),
-        block_size=args.block_size,
-        seed=args.seed,
-        concurrency=args.closed,
-    )
-    doc = bench_cluster(
-        cfg,
-        shard_counts=(1, args.shards),
-        workers_per_shard=tuple(args.workers),
-        exec_workers=args.exec_workers or 2,
-    )
-    rows = [
-        (r["shards"], f"{r['jobs_per_s']:.2f}", f"{r['wall_s']:.2f}",
-         r["completed"], r["lost"], r["duplicates"])
-        for r in doc["runs"]
-    ]
-    print(
-        render_table(
-            ["shards", "jobs/s", "wall s", "completed", "lost", "duplicates"],
-            rows,
-            title=f"cluster scaling — {cfg.jobs} jobs, closed x{cfg.concurrency}",
-        )
-    )
-    speedup = doc["speedup_vs_one_shard"][str(args.shards)]
-    print(f"{args.shards}-shard speedup vs 1 shard: {speedup:.2f}x")
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"bench JSON written to {args.out}")
-    if args.history:
-        from repro.experiments.stamp import append_history
-
-        print(f"run appended to {append_history(doc, bench='cluster', path=args.history)}")
-    if any(r["lost"] or r["failed"] for r in doc["runs"]):
-        print("repro: cluster bench: lost or failed jobs in a scaling run", file=sys.stderr)
-        return 1
-    if args.fail_below is not None:
-        cores = os.cpu_count() or 1
-        if cores < 4:
-            print(
-                f"repro: cluster bench: NOTICE — host has {cores} core(s) (< 4); "
-                f"the --fail-below {args.fail_below:g}x scaling gate is skipped",
-                file=sys.stderr,
-            )
-        elif speedup < args.fail_below:
-            print(
-                f"repro: cluster bench: {args.shards}-shard speedup {speedup:.2f}x "
-                f"below the --fail-below {args.fail_below:g}x gate",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -1002,77 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fault-kind", default="storage", choices=["storage", "computing"])
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument(
-        "--cluster", type=int, default=None, metavar="N",
-        help="drive an N-shard cluster instead of a single in-process service",
-    )
-    p.add_argument(
-        "--kill-shard-after", type=int, default=None, metavar="K",
-        help="with --cluster: SIGKILL a shard after K completions (handoff smoke)",
-    )
-    p.add_argument(
-        "--kill-index", type=int, default=0, metavar="I",
-        help="with --kill-shard-after: which shard to kill (default 0)",
-    )
     p.set_defaults(fn=cmd_loadgen)
-
-    p = sub.add_parser("cluster", help="operate the sharded cluster front-end")
-    cluster_sub = p.add_subparsers(dest="cluster_cmd", required=True)
-
-    def add_cluster_common(cp: argparse.ArgumentParser) -> None:
-        cp.add_argument("--shards", type=int, default=3)
-        cp.add_argument(
-            "--workers", nargs="+", default=["tardis:2"], metavar="PRESET[:CONCURRENCY]",
-            help="worker pool per shard",
-        )
-        cp.add_argument("--executor", default="thread", choices=BACKENDS)
-        cp.add_argument("--exec-workers", type=int, default=2, metavar="N")
-        cp.add_argument("--max-depth", type=int, default=256, help="queue depth per shard")
-        cp.add_argument("--job-timeout", type=float, default=120.0)
-
-    cp = cluster_sub.add_parser("start", help="run N shard processes until SIGINT/SIGTERM")
-    add_cluster_common(cp)
-    cp.add_argument(
-        "--workdir", default=".repro-cluster",
-        help="journals + manifest directory (status/drain read the manifest here)",
-    )
-    cp.set_defaults(fn=cmd_cluster)
-
-    cp = cluster_sub.add_parser("status", help="health + metrics of a running cluster")
-    cp.add_argument("--workdir", default=".repro-cluster")
-    cp.add_argument("--timeout", type=float, default=5.0, help="per-shard reply timeout")
-    cp.add_argument("--json", action="store_true", help="machine-readable status")
-    cp.add_argument("--prometheus-out", default=None, help="write aggregated Prometheus text here")
-    cp.set_defaults(fn=cmd_cluster)
-
-    cp = cluster_sub.add_parser("drain", help="ask every shard to finish its queue")
-    cp.add_argument("--workdir", default=".repro-cluster")
-    cp.add_argument("--timeout", type=float, default=60.0, help="per-shard drain timeout")
-    cp.set_defaults(fn=cmd_cluster)
-
-    cp = cluster_sub.add_parser(
-        "bench", help="throughput scaling: the same workload at 1 and N shards"
-    )
-    add_cluster_common(cp)
-    cp.add_argument("--jobs", type=int, default=24)
-    cp.add_argument("--sizes", nargs="+", type=int, default=[64, 96, 128])
-    cp.add_argument("--block-size", type=int, default=32)
-    cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--closed", type=int, default=8, metavar="CONCURRENCY")
-    cp.add_argument(
-        "--out", default="BENCH_cluster.json",
-        help="output JSON path ('' to skip writing)",
-    )
-    cp.add_argument(
-        "--history", default="results/bench_history.jsonl",
-        help="append the run to this JSONL perf trajectory ('' to skip)",
-    )
-    cp.add_argument(
-        "--fail-below", type=float, default=None, metavar="X",
-        help="exit nonzero if N-shard speedup vs 1 shard is below X "
-        "(skipped with a notice on hosts under 4 cores)",
-    )
-    cp.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("bench", help="verification hot-path benchmark")
     _add_common(p)
@@ -1151,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--quick", action="store_true",
-        help="CI smoke subset (see QUICK_SCENARIOS; includes the erasure-recovery pair)",
+        help="five-scenario subset for quick local runs (see QUICK_SCENARIOS); CI runs all",
     )
     p.add_argument(
         "--scenarios", nargs="+", default=None, metavar="NAME",

@@ -8,12 +8,7 @@ kill, worker wedge, shm-segment corruption and truncation, slow-worker
 latency injection, queue flood, executor-stop races, a full
 service-process kill-and-restart — runs a deterministic job load against
 a real :class:`~repro.service.core.SolveService`, and asserts the
-service-level invariants.  The ``cluster_*`` scenarios restate the same
-battery one level up, against a real multi-process
-:class:`~repro.cluster.router.ClusterRouter`: a shard SIGKILLed
-mid-queue (journal-backed handoff), a router↔shard partition (health
-probes time out, traffic reroutes, no handoff), and a kill-and-rejoin
-rebalance (the restarted shard takes ring placements again).
+service-level invariants.
 
 The shared invariants:
 
@@ -908,284 +903,6 @@ def scenario_burst_beyond_capacity(cfg: ChaosConfig) -> ScenarioResult:
     )
 
 
-# -- cluster scenarios ---------------------------------------------------------
-
-
-def _cluster_config(cfg: ChaosConfig, shards: int = 3, **overrides: Any):
-    """A small, fast-converging cluster for chaos runs."""
-    from repro.cluster import ClusterConfig
-
-    base: dict[str, Any] = dict(
-        shards=shards,
-        workers=(f"tardis:{cfg.exec_workers}",),
-        executor="thread",
-        exec_workers=cfg.exec_workers,
-        return_factors=True,
-        health_interval_s=0.15,
-        probe_timeout_s=0.4,
-        suspect_after=1,
-        down_after=2,
-    )
-    base.update(overrides)
-    return ClusterConfig(**base)
-
-
-def _evaluate_cluster(
-    name: str,
-    cfg: ChaosConfig,
-    router: Any,
-    jobs: list[Job],
-    refs: dict[int, np.ndarray],
-    mid_counters: dict[str, dict[str, float]],
-    wall_s: float,
-    extra: dict[str, bool] | None = None,
-    notes: dict[str, Any] | None = None,
-) -> ScenarioResult:
-    """The invariant battery, router edition.
-
-    Same contract as :func:`_evaluate`, restated at cluster scope: every
-    admitted job resolves exactly once *cluster-wide* (a handoff replay
-    that finishes twice is deduplicated at the router, visible only as
-    ``cluster_duplicate_results_total``), and every completed factor is
-    bit-identical to the inline fault-free reference — shard placement,
-    kills and replays move work, never change it.
-    """
-    m = router.metrics
-    completed = int(m["cluster_jobs_completed_total"].value())
-    failed = int(m["cluster_jobs_failed_total"].value())
-    regressions = counter_regressions(mid_counters, m.counters_snapshot())
-
-    factor_ok = True
-    for job in jobs:
-        result = router.results.get(job.key)
-        if result is None or not result.completed:
-            continue
-        ref = refs.get(job.job_id)
-        if ref is None:
-            continue
-        if result.factor is None or not np.array_equal(result.factor, ref):
-            factor_ok = False
-
-    invariants = {
-        "no_lost_jobs": all(job.key in router.results for job in jobs),
-        "no_duplicate_results": (completed + failed) == len(router.results),
-        "metrics_consistent": len(router.results) == len({r.key for r in router.results.values()}),
-        "metrics_monotonic": not regressions,
-        "factors_bit_identical": factor_ok,
-        "p99_bounded": m["cluster_latency_seconds"].percentile(0.99) <= cfg.p99_budget_s,
-    }
-    invariants.update(extra or {})
-    violations = [key for key, ok in invariants.items() if not ok]
-    violations.extend(f"counter regression: {r}" for r in regressions)
-    return ScenarioResult(
-        name=name,
-        ok=not violations,
-        invariants=invariants,
-        violations=violations,
-        submitted=int(m["cluster_jobs_submitted_total"].value()),
-        completed=completed,
-        failed=failed,
-        rejected=int(m["cluster_jobs_rejected_total"].value()),
-        retries=int(m["cluster_handoff_jobs_total"].value()),
-        p99_s=m["cluster_latency_seconds"].percentile(0.99),
-        wall_s=wall_s,
-        notes=notes or {},
-    )
-
-
-def scenario_cluster_shard_kill(cfg: ChaosConfig) -> ScenarioResult:
-    """A shard is SIGKILLed mid-queue; its journal hands work to survivors."""
-    from repro.cluster import ClusterRouter
-
-    jobs = _jobs(cfg, count=max(cfg.jobs, 8))
-    refs = _reference_factors(jobs)
-    t0 = time.monotonic()
-    state: dict[str, Any] = {}
-
-    async def run() -> dict:
-        router = ClusterRouter(_cluster_config(cfg))
-        state["router"] = router
-        await router.start()
-        try:
-            for job in jobs:
-                decision = await router.submit(job)
-                while not decision.accepted:
-                    await asyncio.sleep(decision.retry_after_s or 0.01)
-                    decision = await router.submit(job)
-            # Kill the shard holding the deepest backlog — the worst case
-            # for the handoff path (maximum admitted-but-unfinished work).
-            victim = max(range(len(router.handles)), key=lambda i: len(router.handles[i].pending))
-            state["pending_at_kill"] = len(router.handles[victim].pending)
-            state["victim"] = router.handles[victim].name
-            router.kill_shard(victim)
-            mid = router.metrics.counters_snapshot()
-            await router.drain(timeout_s=60.0)
-            return mid
-        finally:
-            await router.stop()
-
-    mid = asyncio.run(run())
-    router = state["router"]
-    handoffs = router.metrics["cluster_handoff_jobs_total"].value()
-    return _evaluate_cluster(
-        "cluster_shard_kill",
-        cfg,
-        router,
-        jobs,
-        refs,
-        mid,
-        time.monotonic() - t0,
-        extra={
-            "all_completed": all(
-                (r := router.results.get(job.key)) is not None and r.completed for job in jobs
-            ),
-            "handoff_observed": handoffs >= 1 or state["pending_at_kill"] == 0,
-        },
-        notes={
-            "victim": state["victim"],
-            "pending_at_kill": state["pending_at_kill"],
-            "handoffs": handoffs,
-            "duplicates": router.metrics["cluster_duplicate_results_total"].value(),
-        },
-    )
-
-
-def scenario_cluster_partition(cfg: ChaosConfig) -> ScenarioResult:
-    """A router↔shard partition: probes time out, the shard turns SUSPECT
-    and new jobs route around it; the partition heals and it rejoins."""
-    from repro.cluster import ClusterRouter, ShardState
-
-    first = _jobs(cfg, count=max(cfg.jobs, 6))
-    second = _jobs(cfg, count=max(cfg.jobs, 6), id_base=100)
-    refs = _reference_factors(first + second)
-    t0 = time.monotonic()
-    state: dict[str, Any] = {}
-
-    async def run() -> dict:
-        # down_after high: a partition must reroute, never trigger handoff.
-        router = ClusterRouter(_cluster_config(cfg, down_after=1000))
-        state["router"] = router
-        await router.start()
-        try:
-            for job in first:
-                await router.submit(job)
-            target = router.handles[0]
-            await router.partition_shard(0, 2.5)
-            deadline = time.monotonic() + 5.0
-            while target.state is not ShardState.SUSPECT and time.monotonic() < deadline:
-                await asyncio.sleep(0.05)
-            state["suspected"] = target.state is ShardState.SUSPECT
-            for job in second:  # placed while the shard is unreachable
-                await router.submit(job)
-            mid = router.metrics.counters_snapshot()
-            await router.drain(timeout_s=60.0)
-            deadline = time.monotonic() + 10.0  # the partition heals
-            while target.state is not ShardState.CLOSED and time.monotonic() < deadline:
-                await asyncio.sleep(0.05)
-            state["healed"] = target.state is ShardState.CLOSED
-            return mid
-        finally:
-            await router.stop()
-
-    mid = asyncio.run(run())
-    router = state["router"]
-    partitioned = router.handles[0].name
-    routed_to_partitioned = [
-        job.key
-        for job in second
-        if (r := router.results.get(job.key)) is not None and r.shard == partitioned
-    ]
-    return _evaluate_cluster(
-        "cluster_partition",
-        cfg,
-        router,
-        first + second,
-        refs,
-        mid,
-        time.monotonic() - t0,
-        extra={
-            "shard_suspected": state["suspected"],
-            "rerouted_during_partition": not routed_to_partitioned,
-            "shard_rejoined": state["healed"],
-            "no_handoff_on_partition": router.metrics["cluster_handoff_jobs_total"].value() == 0,
-        },
-        notes={
-            "partitioned": partitioned,
-            "second_batch_on_partitioned": len(routed_to_partitioned),
-        },
-    )
-
-
-def scenario_cluster_rejoin(cfg: ChaosConfig) -> ScenarioResult:
-    """Kill, hand off, restart: the rebuilt shard rejoins the ring and
-    takes placements again — the rebalance is automatic, not manual."""
-    from repro.cluster import ClusterRouter, ShardState
-
-    first = _jobs(cfg, count=max(cfg.jobs, 6))
-    second = _jobs(cfg, count=max(cfg.jobs, 6), id_base=200)
-    refs = _reference_factors(first + second)
-    t0 = time.monotonic()
-    state: dict[str, Any] = {}
-
-    async def run() -> dict:
-        router = ClusterRouter(_cluster_config(cfg))
-        state["router"] = router
-        await router.start()
-        try:
-            for job in first:
-                await router.submit(job)
-            router.kill_shard(1)
-            await router.drain(timeout_s=60.0)
-            deadline = time.monotonic() + 10.0
-            while router.handles[1].state is not ShardState.DOWN and time.monotonic() < deadline:
-                await asyncio.sleep(0.05)
-            state["went_down"] = router.handles[1].state is ShardState.DOWN
-            await router.restart_shard(1)
-            state["rejoined"] = router.handles[1].state is ShardState.CLOSED
-            for job in second:
-                await router.submit(job)
-            mid = router.metrics.counters_snapshot()
-            await router.drain(timeout_s=60.0)
-            return mid
-        finally:
-            await router.stop()
-
-    mid = asyncio.run(run())
-    router = state["router"]
-    rejoined_name = router.handles[1].name
-    # With the full ring healthy again, every second-batch job must land
-    # exactly where consistent hashing says — the rebalance is the ring,
-    # not a special-case path.  (Executed shard == ring owner.)
-    placements_match_ring = all(
-        (r := router.results.get(job.key)) is not None and r.shard == router.ring.place(job.key)
-        for job in second
-    )
-    second_on_rejoined = [
-        job.key
-        for job in second
-        if (r := router.results.get(job.key)) is not None and r.shard == rejoined_name
-    ]
-    return _evaluate_cluster(
-        "cluster_rejoin",
-        cfg,
-        router,
-        first + second,
-        refs,
-        mid,
-        time.monotonic() - t0,
-        extra={
-            "shard_went_down": state["went_down"],
-            "shard_rejoined": state["rejoined"],
-            "rejoined_shard_in_ring": placements_match_ring,
-        },
-        notes={
-            "rejoined": rejoined_name,
-            "second_batch_on_rejoined": len(second_on_rejoined),
-            "handoffs": router.metrics["cluster_handoff_jobs_total"].value(),
-        },
-    )
-
-
 #: name → scenario, in scorecard order.
 SCENARIOS: dict[str, Callable[[ChaosConfig], ScenarioResult]] = {
     "worker_crash": scenario_worker_crash,
@@ -1200,14 +917,12 @@ SCENARIOS: dict[str, Callable[[ChaosConfig], ScenarioResult]] = {
     "dag_worker_stall": scenario_dag_worker_stall,
     "erasure_forward_recovery": scenario_erasure_forward_recovery,
     "burst_beyond_capacity": scenario_burst_beyond_capacity,
-    "cluster_shard_kill": scenario_cluster_shard_kill,
-    "cluster_partition": scenario_cluster_partition,
-    "cluster_rejoin": scenario_cluster_rejoin,
 }
 
-#: the CI smoke subset: one crash-retry path, the breaker degradation
-#: path, the kill-and-restart journal recovery proof, and both sides of
-#: the erasure-recovery ladder (forward resume, beyond-capacity escalation).
+#: a quick subset for local runs (CI runs every scenario): one crash-retry
+#: path, the breaker degradation path, the kill-and-restart journal
+#: recovery proof, and both sides of the erasure-recovery ladder (forward
+#: resume, beyond-capacity escalation).
 QUICK_SCENARIOS = (
     "worker_crash",
     "breaker_failover",

@@ -27,23 +27,26 @@ it stops at the first undecodable line — everything before the tear is
 intact because appends are sequential and the file is only ever rewritten
 by :meth:`JobJournal.compact`, which replaces it atomically.
 
-Compaction/rotation: a long-lived service (a cluster shard serving an
-unbounded job stream) would otherwise grow the WAL forever — almost all
-of it terminal records recovery will never look at.  When the file
-exceeds ``compact_bytes`` (or sits older than ``compact_age_s``), the
+Compaction: a long-lived service serving an unbounded job stream would
+otherwise grow the WAL forever — almost all of it terminal records
+recovery will never look at.  Once the file reaches
+``max(COMPACT_BYTES, 2 × the bytes the last compaction kept)``, the
 writer rewrites it to *only the live entries* — the latest ``admitted``
-record of every admitted-but-unfinished job, in admission order — into a
-sibling temp file, fsyncs, and ``os.replace``s it over the journal.  The
-replace is the commit point: a crash at any moment leaves either the old
-complete journal or the new compacted one, never a mix, and
-``recover()`` returns the same jobs from both.
+record of every admitted-but-unfinished job, in the order the jobs'
+current runs were admitted — into a sibling temp file, fsyncs, and
+``os.replace``s it over the journal.  The replace is the commit point: a
+crash at any moment leaves either the old complete journal or the new
+compacted one, never a mix, and ``recover()`` returns the same jobs in
+the same order from both.  The doubling term keeps the rewrite
+amortized when the live set alone outgrows ``COMPACT_BYTES`` (thousands
+of queued jobs): each compaction is then paid for by at least as many
+appended bytes as it rewrites, instead of firing on every append.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.service.job import Job
@@ -53,34 +56,29 @@ from repro.util.validation import check_positive
 #: Events after which a job needs no replay.
 TERMINAL_EVENTS = frozenset({"completed", "failed", "rejected"})
 
+#: Compact once the WAL reaches this size (or twice what the last
+#: compaction kept, whichever is larger).
+COMPACT_BYTES = 1 << 20
+
 
 class JobJournal:
     """Append-only JSONL WAL of job lifecycle transitions (single writer)."""
 
-    def __init__(
-        self,
-        path: str | Path,
-        fsync_batch: int = 8,
-        compact_bytes: int | None = None,
-        compact_age_s: float | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, fsync_batch: int = 8) -> None:
         check_positive("fsync_batch", fsync_batch)
-        if compact_bytes is not None:
-            check_positive("compact_bytes", compact_bytes)
-        if compact_age_s is not None:
-            check_positive("compact_age_s", compact_age_s)
         self.path = Path(path)
         self.fsync_batch = fsync_batch
-        self.compact_bytes = compact_bytes
-        self.compact_age_s = compact_age_s
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             _repair_torn_tail(self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
+            #: file size, counted from what record() writes — tell() on a
+            #: text file would flush the write buffer on every record
+            self._size = os.fstat(self._fh.fileno()).st_size
         except OSError as exc:
             raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
+        self._compact_at = COMPACT_BYTES
         self._pending = 0
-        self._opened_at = time.monotonic()
         self.records_written = 0
         self.syncs_total = 0
         self.compactions_total = 0
@@ -96,27 +94,18 @@ class JobJournal:
             raise JournalError(f"journal {self.path} is closed")
         entry = {"event": event, "key": key, **fields}
         try:
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            # json.dumps escapes non-ASCII, so characters count bytes.
+            line = json.dumps(entry, sort_keys=True) + "\n"
+            self._fh.write(line)
         except (OSError, TypeError) as exc:
             raise JournalError(f"journal append failed: {exc}") from exc
+        self._size += len(line)
         self._pending += 1
         self.records_written += 1
         if event == "admitted" or self._pending >= self.fsync_batch:
             self.sync()
-        if self._compaction_due():
+        if self._size >= self._compact_at:
             self.compact()
-
-    def _compaction_due(self) -> bool:
-        if self.compact_bytes is not None:
-            try:
-                if self._fh.tell() >= self.compact_bytes:
-                    return True
-            except OSError:  # pragma: no cover - tell() on a regular file
-                return False
-        if self.compact_age_s is not None:
-            if time.monotonic() - self._opened_at >= self.compact_age_s:
-                return True
-        return False
 
     def compact(self) -> int:
         """Atomically rewrite the journal down to its live entries.
@@ -132,11 +121,11 @@ class JobJournal:
         self.sync()
         records = read_journal(self.path)
         live = _live_records(records)
+        text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in live)
         tmp = self.path.with_name(self.path.name + ".compact.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as out:  # noqa: RPL102 — WAL primitive: compaction is priced into record()
-                for entry in live:
-                    out.write(json.dumps(entry, sort_keys=True) + "\n")
+                out.write(text)
                 out.flush()
                 os.fsync(out.fileno())  # noqa: RPL102 — durability before the rename commit
             os.replace(tmp, self.path)
@@ -149,7 +138,8 @@ class JobJournal:
                 pass
             raise JournalError(f"journal compaction failed: {exc}") from exc
         self._pending = 0
-        self._opened_at = time.monotonic()
+        self._size = len(text)
+        self._compact_at = max(COMPACT_BYTES, 2 * self._size)
         self.compactions_total += 1
         self.records_compacted_away += len(records) - len(live)
         return len(records) - len(live)
@@ -233,54 +223,37 @@ def read_journal(path: str | Path) -> list[dict]:
 
 
 def _live_records(records: list[dict]) -> list[dict]:
-    """The admitted records compaction must keep, in admission order.
+    """The latest ``admitted`` record of every job without a terminal one.
 
-    Mirrors :func:`incomplete_jobs` exactly — one (the latest) admitted
-    record per job that has no terminal record — but returns the raw
-    entries so a compacted journal replays byte-identically.
+    Ordered by the admission that opened each job's current run: a
+    re-admission of an unfinished job (a previous recovery's replay)
+    keeps its place and updates the spec, while a terminal record closes
+    the job, so a later re-admission queues it anew at the end.  That
+    order does not depend on when compaction ran, which is what lets a
+    compacted journal replay exactly like the full one.
     """
-    admitted: dict[str, dict] = {}
-    done: set[str] = set()
-    order: list[str] = []
+    live: dict[str, dict] = {}
     for entry in records:
         key = str(entry["key"])
-        event = entry["event"]
-        if event == "admitted":
-            if key not in admitted:
-                order.append(key)
-            admitted[key] = entry
-            done.discard(key)
-        elif event in TERMINAL_EVENTS:
-            done.add(key)
-    return [admitted[key] for key in order if key not in done]
+        if entry["event"] == "admitted":
+            live[key] = entry  # dicts keep an existing key's position
+        elif entry["event"] in TERMINAL_EVENTS:
+            live.pop(key, None)
+    return list(live.values())
 
 
 def incomplete_jobs(records: list[dict]) -> list[Job]:
-    """Jobs with an ``admitted`` record but no terminal one, admission order.
+    """Jobs with an ``admitted`` record but no terminal one after it.
 
-    Deduped by job key: re-admissions of the same ``(seed, job_id)``
-    (e.g. a previous recovery's replay) collapse to one job, rebuilt from
-    the *latest* admitted spec.  Jobs whose admitted record carries no
-    spec (pre-journal formats) are skipped — they cannot be rebuilt.
+    Deduped by job key and ordered as :func:`_live_records` keeps them:
+    re-admissions of the same ``(seed, job_id)`` collapse to one job,
+    rebuilt from the *latest* admitted spec.  Jobs whose admitted record
+    carries no spec (pre-journal formats) are skipped — they cannot be
+    rebuilt.
     """
-    admitted: dict[str, dict | None] = {}
-    done: set[str] = set()
-    order: list[str] = []
-    for entry in records:
-        key = str(entry["key"])
-        event = entry["event"]
-        if event == "admitted":
-            if key not in admitted:
-                order.append(key)
-            admitted[key] = entry.get("spec")
-            done.discard(key)  # a re-admission re-opens the job
-        elif event in TERMINAL_EVENTS:
-            done.add(key)
     jobs: list[Job] = []
-    for key in order:
-        if key in done:
-            continue
-        spec = admitted[key]
+    for entry in _live_records(records):
+        spec = entry.get("spec")
         if spec is None:
             continue
         try:
@@ -289,5 +262,5 @@ def incomplete_jobs(records: list[dict]) -> list[Job]:
             # A mutated-but-parseable spec (fuzzed or disk-corrupted) must
             # surface as a journal error, not an arbitrary crash deep in
             # Job construction.
-            raise JournalError(f"journal spec for job {key!r} is corrupt: {exc}") from exc
+            raise JournalError(f"journal spec for job {str(entry['key'])!r} is corrupt: {exc}") from exc
     return jobs

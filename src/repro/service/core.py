@@ -76,10 +76,6 @@ class ServiceConfig:
     #: (append-only JSONL WAL) and a restarted service can ``recover()``
     #: admitted-but-unfinished jobs from it
     journal_path: str | Path | None = None
-    #: compact the journal down to its live entries whenever it exceeds
-    #: this size (long-lived shards must not grow an unbounded WAL);
-    #: ``None`` disables rotation
-    journal_compact_bytes: int | None = None
     #: wrap the executor in a circuit-breaker failover chain
     #: (``process → thread → inline`` below the configured backend) so a
     #: repeatedly failing backend degrades instead of eating retries
@@ -166,9 +162,7 @@ class SolveService:
         if config.journal_path is not None:
             from repro.resilience.journal import JobJournal
 
-            self.journal = JobJournal(
-                config.journal_path, compact_bytes=config.journal_compact_bytes
-            )
+            self.journal = JobJournal(config.journal_path)
         #: pool-wide slot count; the dispatcher holds a slot per dequeued job
         #: so the queue visibly backs up (and depth-based admission control
         #: engages) once every worker is saturated — capped by the execution

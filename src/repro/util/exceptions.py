@@ -127,14 +127,3 @@ class SalvageError(ReproError, RuntimeError):
 
 class JournalError(ReproError, RuntimeError):
     """The durable job journal could not be written or replayed."""
-
-
-class ClusterError(ReproError, RuntimeError):
-    """A cluster wire-protocol or shard-management failure.
-
-    Raised for malformed frames, handshake/version mismatches, oversized
-    payloads and dead-shard conditions.  The contract (fuzz-tested) is
-    that *any* byte stream fed to the frame decoder either yields valid
-    messages or raises this — a corrupt peer can cost the router one
-    connection, never the process.
-    """

@@ -155,6 +155,10 @@ class TestServeCommand:
         assert main(["serve"]) == 2
 
 
+#: the deleted sharded front-end's subcommand and loadgen flag name
+_REMOVED = "cluster"
+
+
 class TestLoadgenCommand:
     def test_closed_loop_with_faults_and_traces(self, capsys, tmp_path):
         trace_dir = tmp_path / "traces"
@@ -194,6 +198,63 @@ class TestLoadgenCommand:
             main(["loadgen", "--executor", "auto"])
         assert exc.value.code == 2
         assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [_REMOVED, "bench"],
+            ["loadgen", f"--{_REMOVED}", "2"],
+            [_REMOVED],
+            [_REMOVED, "start"],
+            [_REMOVED, "status"],
+            [_REMOVED, "drain"],
+            ["loadgen", "--kill-shard-after", "3"],
+            ["loadgen", "--kill-index", "0"],
+        ],
+    )
+    def test_removed_sharding_surface_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+class TestChaosCommand:
+    def test_list_names_every_scenario_and_marks_the_quick_ones(self, capsys):
+        from repro.resilience import chaos
+
+        assert main(["chaos", "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(chaos.SCENARIOS)
+        assert all(len(line.split()) > 1 for line in lines)  # a summary each
+        quick = [line.split()[0] for line in lines if line.endswith("[quick]")]
+        assert quick == list(chaos.QUICK_SCENARIOS)
+
+    def test_named_scenarios_write_the_scorecard_and_one_history_line(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        out = tmp_path / "BENCH_chaos.json"
+        history = tmp_path / "history.jsonl"
+        rc = main(
+            ["chaos", "--scenarios", "stop_race", "queue_flood", "--jobs", "4",
+             "--n", "48", "--block-size", "16", "--exec-workers", "1",
+             "--out", str(out), "--history", str(history)]
+        )
+        assert rc == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert sorted(doc["scenarios"]) == ["queue_flood", "stop_race"]
+        assert doc["ok"] is True
+        assert len(history.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("suffix", ["shard_kill", "partition", "rejoin"])
+    def test_removed_sharding_scenarios_are_usage_errors(self, capsys, suffix):
+        rc = main(
+            ["chaos", "--scenarios", f"{_REMOVED}_{suffix}", "--out", "", "--history", ""]
+        )
+        assert rc == 2
+        assert "unknown chaos scenarios" in capsys.readouterr().err
 
 
 class TestRecovery:

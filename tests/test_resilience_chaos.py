@@ -1,10 +1,12 @@
 """Chaos harness: scenario mechanics and scorecard contract.
 
-The thread-backed scenarios (flood, stop race, kill-and-restart) run here
-in full — they are fast and deterministic.  The process-pool scenarios are
-exercised by ``repro chaos --quick`` in CI (and their building blocks by
-``tests/test_exec_shm.py``); spawning several pools per test run would
-dominate the suite's wall clock for no extra coverage.
+Every scenario runs here at a small size (4 jobs of n = 48, one backend
+worker).  The thread-backed ones (flood, stop race, dag worker stall,
+kill-and-restart) take about a second together; the process-pool ones
+(worker crash and wedge, slow worker, shm corruption and truncation,
+breaker failover, the erasure pair) spawn a pool each and take about
+12 s together on 2 cores.  CI also runs the full ``repro chaos``
+campaign at its default size.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ class TestScenarioRegistry:
 
     def test_dag_worker_stall_is_registered(self):
         assert "dag_worker_stall" in chaos.SCENARIOS
-        assert len(chaos.SCENARIOS) == 15
+        assert len(chaos.SCENARIOS) == 12
 
     def test_recovery_pair_is_registered_and_quick(self):
-        # Both sides of the erasure-recovery ladder run in the CI smoke.
+        # Both sides of the erasure-recovery ladder run in the quick subset.
         assert "erasure_forward_recovery" in chaos.QUICK_SCENARIOS
         assert "burst_beyond_capacity" in chaos.QUICK_SCENARIOS
 
@@ -80,6 +82,35 @@ class TestCheapScenarios:
         assert result.notes["admitted"] == 4
         assert result.notes["incomplete_after_recovery"] == 0
         assert (tmp_path / "kill_restart.journal.jsonl").exists()
+
+
+#: process-pool scenario → the invariants it adds to the shared battery
+_POOL_SCENARIOS = {
+    "worker_crash": ("crash_survived", "survivors_unaffected", "unanswered_batchmates_retried"),
+    "worker_wedge": ("all_completed", "slot_reclaimed"),
+    "slow_worker": ("all_completed", "no_spurious_retries"),
+    "shm_corruption": ("all_completed", "crc_detected"),
+    "shm_truncation": ("all_completed", "arena_healed"),
+    "breaker_failover": ("failover_observed", "recovery_observed", "breaker_closed_again"),
+    "erasure_forward_recovery": ("forward_recovered", "erasure_reconstructed"),
+    "burst_beyond_capacity": ("salvage_escalated_backward", "no_forward_past_capacity"),
+}
+
+
+class TestProcessPoolScenarios:
+    def test_table_covers_every_pool_scenario(self):
+        thread_backed = {"queue_flood", "stop_race", "kill_restart", "dag_worker_stall"}
+        assert set(_POOL_SCENARIOS) == set(chaos.SCENARIOS) - thread_backed
+
+    @pytest.mark.parametrize("name", list(_POOL_SCENARIOS))
+    def test_scenario_holds_its_invariants(self, name):
+        result = chaos.SCENARIOS[name](CFG)
+        assert result.ok, result.violations
+        # The scenario's own checks ran: a fault plan that never fired
+        # would pass the shared battery alone.
+        for invariant in _POOL_SCENARIOS[name]:
+            assert result.invariants[invariant], invariant
+        assert result.completed == result.submitted
 
 
 class TestScorecard:
