@@ -118,7 +118,7 @@ class Executor(ABC):
             "executor_ipc_bytes_total", "bytes crossing the process boundary (payloads + shm)"
         )
         self._restarts = metrics.counter(
-            "executor_worker_restarts_total", "pool workers respawned after a crash or cancel"
+            "executor_worker_restarts_total", "pool workers lost to a crash or a missed deadline and replaced"
         )
         self._transport_errs = metrics.counter(
             "executor_transport_errors_total",

@@ -18,25 +18,31 @@ is what pins batched/singleton bit-identity by construction):
    worker factors each shared view in place, writes factor bytes back
    through the same segments, and streams one reply per item as it
    completes;
-3. the parent polls the outbox while watching worker liveness — a dead
-   process (crash, OOM kill, test-injected ``os._exit``) loses only the
-   items it had not yet answered: after the pool respawns a replacement,
-   exactly those come back as
-   :class:`~repro.util.exceptions.WorkerCrashedError` and the service's
-   retry ladder requeues them, while the batch's already-streamed
-   survivors keep their results.
+3. the parent waits on the outbox and the worker's process sentinel
+   together — a dead process (crash, OOM kill, test-injected
+   ``os._exit``) loses only the items it had not yet answered: exactly
+   those come back at once as
+   :class:`~repro.util.exceptions.WorkerCrashedError`, salvage attached,
+   and the service's retry ladder requeues them, while the batch's
+   already-streamed survivors keep their results.  The replacement worker
+   starts on a background thread, imports at idle CPU priority, and its
+   slot rejoins the pool only once it reports ready, so a crash costs its
+   job a retry or a forward resume, never an interpreter start; the pool
+   runs one worker short meanwhile.
 
-``stop()`` drains: every worker gets a stop sentinel, is joined (then
-terminated if wedged), and every arena segment is unlinked — the parent
-is the only owner of shared memory, always.
+``stop()`` drains: it takes every slot (so it also waits out a
+replacement still starting), every worker gets a stop sentinel, is joined
+(then terminated if wedged), and every arena segment is unlinked — the
+parent is the only owner of shared memory, always.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import pickle
-import queue as queue_mod
+import sys
 import threading
 import time
 import zlib
@@ -60,8 +66,32 @@ from repro.util.exceptions import (
 )
 from repro.util.validation import require
 
-#: How often the result wait re-checks worker liveness (seconds).
-_POLL_S = 0.05
+#: What a replacement worker runs instead of a plain ``worker_main`` call.
+#: On Linux a nice value belongs to one thread, so a process may lower it
+#: for part of its life without privileges: the imports run on a helper
+#: thread at nice 19, taking only CPU the live jobs leave idle and never
+#: waking ahead of them, and the main thread then serves at its normal
+#: priority.  NumPy loads first, on the main thread, so any BLAS threads
+#: it starts keep that priority.  It is source, not a function, because
+#: unpickling a function from ``repro`` would import the package first.
+_IDLE_START = """
+import os
+import threading
+import numpy
+
+def import_worker():
+    try:
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+    except OSError:
+        pass
+    import repro.exec.worker
+
+helper = threading.Thread(target=import_worker)
+helper.start()
+helper.join()
+from repro.exec.worker import worker_main
+worker_main(*args)
+"""
 #: How long a spawning worker may take to report ready (imports included).
 _READY_TIMEOUT_S = 120.0
 #: Per-attempt silence ceiling when the request carries no timeout
@@ -74,7 +104,12 @@ _DEADLINE_GRACE_S = 2.0
 
 
 class _WorkerHandle:
-    """Parent-side record of one pool worker slot."""
+    """Parent-side record of one pool worker slot.
+
+    ``process is None`` means the slot has no worker: its last one was
+    lost, or a replacement failed to start, and the next checkout must
+    start one before it dispatches.
+    """
 
     def __init__(self, worker_id: int, ctx, arena_tag: str) -> None:
         self.worker_id = worker_id
@@ -84,34 +119,76 @@ class _WorkerHandle:
         self.inbox = None
         self.outbox = None
 
-    def spawn(self) -> None:
-        self.inbox = self.ctx.Queue()
-        self.outbox = self.ctx.Queue()
-        self.process = self.ctx.Process(
-            target=worker_main,
-            args=(self.worker_id, self.inbox, self.outbox),
-            daemon=True,
-            name=f"repro-exec-w{self.worker_id}",
-        )
-        self.process.start()
-        msg = self.outbox.get(timeout=_READY_TIMEOUT_S)
-        require(msg[0] == "ready", f"worker {self.worker_id} failed its ready handshake: {msg!r}")
+    def spawn(self, idle: bool = False) -> None:
+        """Start a worker and wait for its ready handshake.
 
-    def kill(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5.0)
+        *idle* (on Linux) makes the worker import at the lowest CPU
+        priority (``_IDLE_START``), for a replacement that starts while
+        other jobs run.  A child that exits before it reports ready
+        (import error, OOM kill) fails the handshake as soon as it is
+        gone, not at the timeout.  On failure the half-started worker is
+        torn down, so the handle is left empty and the start can be
+        retried.
+        """
+        try:
+            self.inbox = self.ctx.Queue()
+            self.outbox = self.ctx.Queue()
+            target, args = worker_main, (self.worker_id, self.inbox, self.outbox)
+            if idle and sys.platform.startswith("linux"):
+                target, args = exec, (_IDLE_START, {"args": args})
+            self.process = self.ctx.Process(
+                target=target, args=args, daemon=True, name=f"repro-exec-w{self.worker_id}"
+            )
+            self.process.start()
+            msg = self.recv(time.monotonic() + _READY_TIMEOUT_S)
+            if msg is None or msg[0] != "ready":
+                raise WorkerCrashedError(
+                    f"pool worker {self.worker_id} failed its ready handshake "
+                    f"(exitcode {self.process.exitcode}, reply {msg!r})"
+                )
+        except BaseException:
+            self.discard()
+            raise
+
+    def recv(self, deadline: float):
+        """The next outbox message; ``None`` once *deadline* passes or the worker exits.
+
+        Waits on the outbox pipe and the process sentinel together, so a
+        death wakes the wait at once.  Messages the worker flushed before
+        it died still come first.  An exited worker is reaped before the
+        ``None`` return, so ``process.exitcode`` tells the two cases apart.
+        """
+        reader = self.outbox._reader  # the pipe end Queue.get reads
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                return None
+            ready = multiprocessing.connection.wait([reader, self.process.sentinel], remaining)
+            if reader in ready:
+                return self.outbox.get()
+            if ready:
+                self.process.join()  # the sentinel fired: reaps at once
+                return None
+
+    def discard(self) -> None:
+        """Kill the worker and close its queues; the slot's arena stays."""
+        try:
+            if self.process is not None and self.process.is_alive():
+                self.process.terminate()
+                self.process.join(timeout=5.0)
+            for q in (self.inbox, self.outbox):
+                if q is not None:
+                    q.close()
+                    q.cancel_join_thread()
+        finally:
+            self.process = self.inbox = self.outbox = None
 
     def close(self) -> None:
         # The arena release is the part that frees /dev/shm; it must run
         # even when the kill or queue teardown throws (a worker that died
         # mid-dispatch can leave queue feeder threads in odd states).
         try:
-            self.kill()
-            for q in (self.inbox, self.outbox):
-                if q is not None:
-                    q.close()
-                    q.cancel_join_thread()
+            self.discard()
         finally:
             self.arena.release()
 
@@ -136,6 +213,10 @@ class ProcessExecutor(Executor):
         # parent-side keys ("truncate_shm", "corrupt_shm") are acted on
         # around the shm transport without the worker's knowledge.
         self._chaos: deque[dict] = deque()
+        #: ``(live workers, idle slots)`` as the last ``stop_sync`` found the
+        #: pool once it held every slot; a whole pool reads ``(capacity,
+        #: capacity)`` (the chaos battery checks it).
+        self.drained_pool: tuple[int, int] | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -195,6 +276,8 @@ class ProcessExecutor(Executor):
                 self._slots.acquire()  # noqa: RPL101 — loop-paired with the release loop below; the counter keeps the pairing exact
                 acquired += 1
             with self._lock:
+                live = sum(h.process is not None and h.process.is_alive() for h in self._handles)
+                self.drained_pool = (live, len(self._idle))
                 for handle in self._handles:
                     if handle.process is not None and handle.process.is_alive():
                         handle.inbox.put(("stop",))
@@ -307,7 +390,8 @@ class ProcessExecutor(Executor):
             self._start_locked()
         timer = _SlotTimer()
         handle = None
-        self._slots.acquire()
+        dispatched = False
+        self._slots.acquire()  # noqa: RPL101 — _check_in releases it, on this thread or, for a lost worker, on its replacement's
         try:
             with self._lock:
                 if not self._idle:
@@ -315,21 +399,72 @@ class ProcessExecutor(Executor):
                     # down while we waited; there is no worker to dispatch to.
                     raise ExecutorError("executor stopped while the attempt waited for a slot")
                 handle = self._idle.pop()
+            if handle.process is None:
+                self._restart(handle)
             self._note_batch_dispatch(timer.waited(), requests)
+            dispatched = True
             try:
                 return self._dispatch_batch(handle, requests)
             finally:
                 self._note_done(len(requests))
         finally:
-            try:
-                with self._lock:
-                    if handle is not None:
-                        self._idle.append(handle)
-            finally:
-                # Must check the handle back in *before* releasing the slot
-                # (a freed slot with an empty idle list strands the next
-                # attempt), and must release even if the check-in throws.
-                self._slots.release()
+            if dispatched and handle.process is None:
+                self._replace(handle)  # the worker was lost mid-batch
+            else:
+                self._check_in(handle)
+
+    def _check_in(self, handle: _WorkerHandle | None) -> None:
+        """Return *handle* to the idle list and free its slot."""
+        try:
+            with self._lock:
+                if handle is not None:
+                    self._idle.append(handle)
+        finally:
+            # Must check the handle back in *before* releasing the slot
+            # (a freed slot with an empty idle list strands the next
+            # attempt), and must release even if the check-in throws.
+            self._slots.release()
+
+    def _replace(self, handle: _WorkerHandle) -> None:
+        """Start a lost worker's successor off the dispatch path.
+
+        The successor imports at idle CPU priority, so its start-up does
+        not slow the jobs running meanwhile.  The slot stays taken until
+        the successor reports ready, so the dispatches in between go to
+        live workers (capacity is one short meanwhile) and ``stop_sync``,
+        which takes every slot, waits for it.  A successor that fails to
+        start still frees the slot: the handle goes back empty and its
+        next checkout retries the start.
+        """
+        try:
+            threading.Thread(
+                target=self._respawn,
+                args=(handle,),
+                name=f"repro-exec-respawn-w{handle.worker_id}",
+                daemon=True,
+            ).start()
+        except RuntimeError:
+            # No thread to spare: check the empty handle straight back in;
+            # its next checkout starts the worker inline.
+            self._check_in(handle)
+
+    def _respawn(self, handle: _WorkerHandle) -> None:
+        """Background body of :meth:`_replace`."""
+        try:
+            handle.spawn(idle=True)
+        except Exception:  # noqa: RPL008 — not dropped: the next checkout retries the start and raises WorkerCrashedError
+            pass
+        finally:
+            self._check_in(handle)
+
+    def _restart(self, handle: _WorkerHandle) -> None:
+        """Start a worker inline for a slot whose replacement failed to start."""
+        try:
+            handle.spawn()
+        except Exception as exc:
+            raise WorkerCrashedError(
+                f"pool worker {handle.worker_id} could not be restarted ({exc})"
+            ) from exc
 
     def _dispatch_batch(
         self, handle: _WorkerHandle, requests: list[AttemptRequest]
@@ -529,43 +664,32 @@ class ProcessExecutor(Executor):
             injector.plans[idx].fired = True
 
     def _await_item(self, handle: _WorkerHandle, batch_id: int, deadline: float):
-        """Poll the worker's outbox for this batch's next streamed item reply.
+        """Wait for this batch's next streamed item reply.
 
         *deadline* (monotonic seconds) bounds the wait: a worker that is
         alive but silent past it — wedged in native code, say — is killed
-        and respawned so the pool slot is always reclaimed, even though
-        the caller's ``asyncio.wait_for`` cannot cancel this thread.  A
-        raise here means the worker is gone; the caller fails the batch's
-        still-pending items and keeps the settled ones.
+        so the pool slot is always reclaimed, even though the caller's
+        ``asyncio.wait_for`` cannot cancel this thread.  A raise here means
+        the worker is gone: the restart is counted, the handle is empty
+        (``run_batch_sync`` replaces it off the dispatch path), and the
+        caller fails the batch's still-pending items and keeps the settled
+        ones.
         """
-        process, outbox = handle.process, handle.outbox
         while True:
-            if time.monotonic() > deadline:
-                self._respawn(handle, reason="wedged")
-                raise WorkerCrashedError(
-                    f"pool worker {handle.worker_id} missed its batch deadline; "
-                    "killed and respawned, unanswered attempts requeued"
-                )
-            try:
-                reply = outbox.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                if not process.is_alive():
-                    exitcode = process.exitcode
-                    self._respawn(handle, reason="crash")
+            reply = handle.recv(deadline)
+            if reply is None:
+                exitcode = handle.process.exitcode
+                self._note_restart("crash" if exitcode is not None else "wedged")
+                handle.discard()
+                if exitcode is None:
                     raise WorkerCrashedError(
-                        f"pool worker {handle.worker_id} died mid-batch "
-                        f"(exitcode {exitcode}); unanswered attempts requeued"
-                    ) from None
-                continue
+                        f"pool worker {handle.worker_id} missed its batch deadline; "
+                        "killed and replaced, unanswered attempts requeued"
+                    )
+                raise WorkerCrashedError(
+                    f"pool worker {handle.worker_id} died mid-batch "
+                    f"(exitcode {exitcode}); unanswered attempts requeued"
+                )
             if reply[0] == "item" and reply[1] == batch_id:
                 return reply
             # Stale reply from a cancelled/abandoned batch: drop it.
-
-    def _respawn(self, handle: _WorkerHandle, reason: str) -> None:
-        handle.kill()
-        for q in (handle.inbox, handle.outbox):
-            if q is not None:
-                q.close()
-                q.cancel_join_thread()
-        handle.spawn()
-        self._note_restart(reason)

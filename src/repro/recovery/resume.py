@@ -1,9 +1,9 @@
 """Execute a forward recovery: repair the salvage, resume, re-gate.
 
 This is the blocking body of the service's "erasure-recover" ladder
-rung.  It runs parent-side (the crashed worker's pool slot has already
-been respawned; a resume is cheap enough not to justify another
-round-trip), and produces a normal
+rung.  It runs parent-side (the crashed worker's replacement is still
+starting in the background; a resume is cheap enough not to justify
+another round-trip), and produces a normal
 :class:`~repro.service.policy.AttemptOutcome` so the residual gate,
 metrics and journaling downstream are untouched.
 

@@ -21,7 +21,11 @@ The shared invariants:
 - **bit-identical factors** — every completed factor equals the inline
   fault-free reference bit for bit (chaos moves work, never changes it);
 - **bounded p99** — tail latency stays under the scenario budget even
-  with the fault plan active.
+  with the fault plan active;
+- **pool whole after drain** — a process pool ends with ``capacity`` live
+  workers, all idle, once ``stop()`` holds every slot, and leaves no
+  worker running after it (a stranded slot or a lost replacement fails
+  this).
 
 ``python -m repro chaos`` runs the scenarios and emits a
 ``BENCH_chaos.json`` scorecard (same stamp/history conventions as the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -40,6 +45,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.exec.process import ProcessExecutor
 from repro.experiments.stamp import run_stamp
 from repro.faults.injector import burst_storage_faults
 from repro.hetero.machine import Machine
@@ -213,6 +219,16 @@ def _evaluate(
         "factors_bit_identical": factor_ok,
         "p99_bounded": m["service_latency_seconds"].percentile(0.99) <= cfg.p99_budget_s,
     }
+    pools = [
+        member
+        for member in getattr(service.executor, "chain", [service.executor])
+        if isinstance(member, ProcessExecutor)
+    ]
+    if pools:
+        leftover = [p for p in multiprocessing.active_children() if p.name.startswith("repro-exec-")]
+        invariants["pool_whole_after_drain"] = not leftover and all(
+            pool.drained_pool == (pool.capacity, pool.capacity) for pool in pools
+        )
     invariants.update(extra or {})
     violations = [key for key, ok in invariants.items() if not ok]
     violations.extend(f"counter regression: {r}" for r in regressions)

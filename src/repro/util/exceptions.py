@@ -76,8 +76,9 @@ class WorkerCrashedError(ExecutorError):
     """A pool worker process died (crash/OOM/kill) while owning an attempt.
 
     The service's retry ladder treats this exactly like a failed attempt:
-    the job is requeued with backoff, the pool respawns the worker, and
-    nothing is lost but the attempt's wall time.
+    the job is requeued with backoff while the pool replaces the worker
+    in the background, and nothing is lost but the attempt's wall time.
+    Also raised when a worker slot cannot start a replacement.
     """
 
 

@@ -13,10 +13,12 @@ or failed service.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 
 import repro
 from repro.exec import AttemptRequest, InlineExecutor, ProcessExecutor, ThreadExecutor, make_executor
+from repro.exec.process import _WorkerHandle
 from repro.faults.injector import single_storage_fault
 from repro.hetero.machine import Machine
 from repro.service.core import ServiceConfig, SolveService
@@ -207,6 +210,168 @@ class TestWorkerCrash:
         assert result.residual is not None and result.residual < 1e-10
         assert service.metrics["executor_worker_restarts_total"].value(reason="crash") == 1
         assert service.metrics["service_retries_total"].value() == 1
+
+
+@pytest.fixture
+def broken_spawn(monkeypatch) -> threading.Event:
+    """While the returned event is set, every worker start raises ``OSError``."""
+    broken = threading.Event()
+    real_spawn = _WorkerHandle.spawn
+
+    def spawn(self, **kwargs):
+        if broken.is_set():
+            raise OSError("no more processes")
+        real_spawn(self, **kwargs)
+
+    monkeypatch.setattr(_WorkerHandle, "spawn", spawn)
+    return broken
+
+
+class TestWorkerReplacement:
+    """A lost worker is replaced off the dispatch path; its slot waits for it."""
+
+    def test_request_after_a_crash_runs_on_the_healthy_worker(self, hold_spawns):
+        executor = ProcessExecutor(workers=2)
+        executor.start_sync()
+        gate, started = hold_spawns()
+        try:
+            executor.inject_crash()
+            with pytest.raises(WorkerCrashedError, match="died mid-batch"):
+                executor.run_sync(_request(_job()))
+            # Counted at detection, before the replacement is ready.
+            assert executor.metrics["executor_worker_restarts_total"].value(reason="crash") == 1
+            assert sum(h.process is None for h in executor._handles) == 1
+            reference = InlineExecutor().run_sync(_request(_job()))
+            outcome = executor.run_sync(_request(_job()))
+            assert not gate.is_set() and not started  # the replacement is still held
+            assert np.array_equal(outcome.factor, reference.factor)
+        finally:
+            gate.set()
+            executor.stop_sync()
+        assert len(started) == 1
+        assert executor.drained_pool == (2, 2)
+
+    def test_wedged_worker_is_killed_at_once_and_replaced_in_the_background(self, hold_spawns):
+        executor = ProcessExecutor(workers=1)
+        executor.start_sync()
+        gate, started = hold_spawns()
+        try:
+            wedged = executor._handles[0].process
+            executor.inject_wedge(60.0)
+            with pytest.raises(WorkerCrashedError, match="deadline"):
+                executor.run_sync(_request(_job(), timeout_s=0.2))
+            assert not wedged.is_alive()
+            assert executor.metrics["executor_worker_restarts_total"].value(reason="wedged") == 1
+            # The slot rejoins the pool only once the replacement is ready.
+            out: list = []
+            thread = threading.Thread(target=lambda: out.append(executor.run_sync(_request(_job()))))
+            thread.start()
+            thread.join(0.5)
+            assert thread.is_alive() and not out
+            gate.set()
+            thread.join(60.0)
+            assert len(out) == 1 and out[0].factor is not None
+            assert len(started) == 1 and started[0].is_alive()
+        finally:
+            gate.set()
+            executor.stop_sync()
+        assert executor.drained_pool == (1, 1)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="per-thread nice values are Linux-only")
+    def test_replacement_imports_at_idle_priority_then_serves_at_normal(self):
+        def nice_values(process) -> set[int]:
+            """Nice value of each live thread of *process* (field 19 of its stat)."""
+            out = set()
+            for stat in Path(f"/proc/{process.pid}/task").glob("*/stat"):
+                try:
+                    out.add(int(stat.read_text().rsplit(")", 1)[1].split()[16]))
+                except (OSError, IndexError):
+                    pass  # the thread exited between listing and reading
+            return out
+
+        normal = os.getpriority(os.PRIO_PROCESS, 0)
+        executor = ProcessExecutor(workers=1)
+        executor.start_sync()
+        handle = executor._handles[0]
+        try:
+            executor.inject_crash()
+            with pytest.raises(WorkerCrashedError):
+                executor.run_sync(_request(_job()))
+            seen: set[int] = set()
+            deadline = time.monotonic() + 60.0
+            while not executor._idle and time.monotonic() < deadline:
+                process = handle.process
+                if process is not None and process.pid is not None:
+                    seen |= nice_values(process)
+                time.sleep(0.002)
+            assert 19 in seen  # the imports ran on a thread at idle priority
+            assert executor.run_sync(_request(_job())).factor is not None
+            assert nice_values(handle.process) == {normal}  # it serves at normal priority
+        finally:
+            executor.stop_sync()
+
+    def test_failed_replacement_is_retried_inline_at_the_next_checkout(self, broken_spawn):
+        executor = ProcessExecutor(workers=1)
+        executor.start_sync()
+        broken_spawn.set()
+        try:
+            executor.inject_crash()
+            with pytest.raises(WorkerCrashedError, match="died mid-batch"):
+                executor.run_sync(_request(_job()))
+            # The background start failed, but the slot came back: this
+            # checkout retries the start and reports an infra error.
+            with pytest.raises(WorkerCrashedError, match="could not be restarted"):
+                executor.run_sync(_request(_job()))
+            broken_spawn.clear()
+            assert executor.run_sync(_request(_job())).factor is not None
+        finally:
+            executor.stop_sync()
+        assert executor.drained_pool == (1, 1)
+
+    def test_worker_that_cannot_start_fails_its_job_with_a_result(self, broken_spawn):
+        async def drive():
+            service = SolveService(
+                ServiceConfig(workers=("tardis:1",), executor="process", exec_workers=1)
+            )
+            await service.start_executor()
+            service.executor.inject_crash()
+            broken_spawn.set()
+            service.start()
+            service.submit(_job(job_id=7))
+            await service.drain()
+            broken_spawn.clear()
+            service.submit(_job(job_id=8))
+            await service.stop()
+            return service
+
+        service = asyncio.run(drive())
+        failed = service.results[7]
+        assert failed.status is JobStatus.FAILED
+        assert "could not be restarted" in failed.error
+        assert service.results[8].status is JobStatus.COMPLETED
+
+    def test_ready_handshake_fails_fast_when_the_child_exits(self):
+        class ExitingContext:
+            """Spawns children that exit before they report ready."""
+
+            def __init__(self) -> None:
+                self.ctx = multiprocessing.get_context("spawn")
+
+            def Queue(self):
+                return self.ctx.Queue()
+
+            def Process(self, **kwargs):
+                return self.ctx.Process(target=os._exit, args=(3,), daemon=True)
+
+        handle = _WorkerHandle(0, ExitingContext(), "rx-handshake")
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(WorkerCrashedError, match="exitcode 3"):
+                handle.spawn()
+            assert time.monotonic() - t0 < 1.0  # not the 120 s ready timeout
+            assert handle.process is None and handle.outbox is None
+        finally:
+            handle.close()
 
 
 class TestBackendNames:

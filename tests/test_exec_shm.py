@@ -9,6 +9,7 @@ and a factor corrupted in transit never reaches the caller.
 from __future__ import annotations
 
 import gc
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.exec.process import _WorkerHandle
 from repro.hetero.machine import Machine
 from repro.hetero.memory import SharedArena
 from repro.service.job import Job
-from repro.util.exceptions import ShmIntegrityError, ShmTransportError
+from repro.util.exceptions import ShmIntegrityError, ShmTransportError, WorkerCrashedError
 
 SHM_DIR = Path("/dev/shm")
 
@@ -111,6 +112,32 @@ class TestPoolLeaks:
         # An attempt leases two slots — the matrix slot and the recovery
         # snapshot slot — both parked warm on the arena free-list.
         assert len(_residue() - before) <= 2
+
+    def test_stop_during_a_replacement_waits_for_it_and_leaves_nothing(self, hold_spawns):
+        before = _residue()
+        executor = ProcessExecutor(workers=2)
+        executor.start_sync()
+        originals = [h.process for h in executor._handles]
+        gate, replacements = hold_spawns()
+        stopper = threading.Thread(target=executor.stop_sync)
+        try:
+            executor.inject_crash()
+            with pytest.raises(WorkerCrashedError):
+                executor.run_sync(_request(_job()))
+            stopper.start()
+            stopper.join(0.5)
+            assert stopper.is_alive()  # held by the replacement's slot
+        finally:
+            gate.set()
+            if stopper.is_alive():
+                stopper.join(60.0)
+            else:
+                executor.stop_sync()
+        assert not stopper.is_alive()
+        assert len(replacements) == 1  # the replacement finished before teardown
+        assert executor.drained_pool == (2, 2)
+        assert not any(proc.is_alive() for proc in originals + replacements)
+        assert _residue() <= before
 
     def test_failed_pool_start_cleans_up(self, monkeypatch):
         before = _residue()

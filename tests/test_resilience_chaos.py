@@ -110,6 +110,7 @@ class TestProcessPoolScenarios:
         # would pass the shared battery alone.
         for invariant in _POOL_SCENARIOS[name]:
             assert result.invariants[invariant], invariant
+        assert result.invariants["pool_whole_after_drain"]
         assert result.completed == result.submitted
 
 
