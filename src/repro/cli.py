@@ -547,9 +547,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience import chaos
 
     if args.list:
-        for name, fn in chaos.SCENARIOS.items():
-            quick = " [quick]" if name in chaos.QUICK_SCENARIOS else ""
-            print(f"{name:18} {(fn.__doc__ or '').splitlines()[0]}{quick}")
+        width = max(map(len, chaos.SCENARIOS))
+        for name, row in chaos.SCENARIOS.items():
+            print(f"{name:{width}} {row.fault}{' [quick]' if row.quick else ''}")
         return 0
     if args.scenarios:
         names = tuple(args.scenarios)

@@ -16,7 +16,7 @@ from repro.runtime.cholesky import (
     plan_anchor,
 )
 from repro.runtime.dag import TaskGraph
-from repro.runtime.executor import DagExecutor, inject_task_delays, inject_worker_stall
+from repro.runtime.executor import DagExecutor, inject_task_delays
 from repro.runtime.scheme import DagPotrfResult, dag_potrf
 from repro.runtime.task import Cell, TileTask, TASK_KINDS
 
@@ -32,7 +32,6 @@ __all__ = [
     "build_cholesky_graph",
     "dag_potrf",
     "inject_task_delays",
-    "inject_worker_stall",
     "merge_stats",
     "plan_anchor",
 ]

@@ -19,10 +19,6 @@ Because the builder emits tasks iteration-by-iteration, program index
 order is iteration-monotone — the lowest-index ready task always has the
 lowest ready iteration, so throttling the heap top throttles everything.
 
-A watchdog thread replaces a worker whose heartbeat goes stale
-(worker wedged in its *fetch* path, holding no task) so one stuck thread
-cannot wedge the factorization; stalls are counted in the run summary.
-
 Failures (``UnrecoverableError`` from a verify task,
 ``SingularBlockError`` from POTF2) stop dispatch, let in-flight tasks
 drain, and re-raise the failure with the lowest program index — the
@@ -41,46 +37,20 @@ from repro.runtime.dag import TaskGraph
 from repro.runtime.task import TileTask
 from repro.util.validation import check_positive, require
 
-# -- test hooks ----------------------------------------------------------------
+# -- test hook -----------------------------------------------------------------
 # Module-level so chaos scenarios and property tests reach the executor
 # inside a thread-pool service worker without plumbing arguments through.
 
-_stall_hook: dict | None = None
 _task_delay_hook: Callable[[TileTask], float] | None = None
-
-
-@contextmanager
-def inject_worker_stall(
-    worker: int = 0, seconds: float = 0.5, timeout_s: float = 0.1
-) -> Iterator[dict]:
-    """Wedge pool worker *worker* (once) in its fetch path for *seconds*.
-
-    The stalled worker holds no task, so nothing needs reissuing — the
-    watchdog (armed with *timeout_s* while the hook is active) spawns a
-    replacement and the run completes on the remaining threads.  Yields
-    the hook record; ``hook["fired"].is_set()`` tells a test the stall
-    actually happened.
-    """
-    global _stall_hook
-    prev = _stall_hook
-    _stall_hook = {
-        "worker": worker,
-        "seconds": seconds,
-        "timeout_s": timeout_s,
-        "fired": threading.Event(),
-    }
-    try:
-        yield _stall_hook
-    finally:
-        _stall_hook = prev
 
 
 @contextmanager
 def inject_task_delays(delay_of: Callable[[TileTask], float]) -> Iterator[None]:
     """Sleep ``delay_of(task)`` seconds before each task body runs.
 
-    Property tests use this to shuffle completion order adversarially:
-    bit-identity must hold no matter which worker finishes first.
+    Property tests and the ``dag_slow_tasks`` chaos scenario use this to
+    shuffle completion order adversarially: bit-identity must hold no
+    matter which worker finishes first.
     """
     global _task_delay_hook
     prev = _task_delay_hook
@@ -97,36 +67,19 @@ def inject_task_delays(delay_of: Callable[[TileTask], float]) -> Iterator[None]:
 class DagExecutor:
     """Run one task graph; :meth:`run` returns the runtime summary dict."""
 
-    #: how long a silent heartbeat means "wedged" (overridden by the
-    #: stall hook's ``timeout_s`` while that hook is active)
-    stall_timeout_s: float
-
-    def __init__(
-        self,
-        graph: TaskGraph,
-        *,
-        workers: int = 1,
-        lookahead: int = 1,
-        stall_timeout_s: float = 5.0,
-    ) -> None:
+    def __init__(self, graph: TaskGraph, *, workers: int = 1, lookahead: int = 1) -> None:
         check_positive("workers", workers)
         require(lookahead >= 0, f"lookahead must be >= 0, got {lookahead}")
         self.graph = graph
         self.workers = workers
         self.lookahead = lookahead
-        self.stall_timeout_s = stall_timeout_s
         # scheduler state (guarded by _cond in the threaded path)
         self._deps = list(graph.n_deps)
         self._ready: list[int] = []
         self._completed = 0
         self._failures: list[tuple[int, BaseException]] = []
         self._stop_dispatch = False
-        self._in_flight = 0
         self._cond = threading.Condition()
-        self._heartbeat: dict[int, float] = {}
-        self._replaced: set[int] = set()
-        self._threads: list[threading.Thread] = []
-        self._next_wid = 0
         # per-iteration completion tracking for the lookahead throttle
         iters = [t.iteration for t in graph.tasks]
         top = max(iters, default=0)
@@ -139,7 +92,6 @@ class DagExecutor:
         self._task_seconds: dict[str, list[float]] = {}
         self._max_ready_depth = 0
         self._max_lookahead_depth = 0
-        self._stalls = 0
 
     # -- shared bookkeeping ----------------------------------------------------
 
@@ -191,7 +143,6 @@ class DagExecutor:
             "task_seconds": {k: list(v) for k, v in self._task_seconds.items()},
             "max_ready_depth": self._max_ready_depth,
             "max_lookahead_depth": self._max_lookahead_depth,
-            "stalls": self._stalls,
         }
 
     # -- serial path -----------------------------------------------------------
@@ -214,14 +165,11 @@ class DagExecutor:
 
     # -- threaded path ---------------------------------------------------------
 
-    def _fetch(self, wid: int) -> TileTask | None:
-        """Next dispatchable task, or None when the run is over for *wid*."""
+    def _fetch(self) -> TileTask | None:
+        """Next dispatchable task, or None once the run is over."""
         with self._cond:
             while True:
-                self._heartbeat[wid] = time.monotonic()
-                if self._stop_dispatch or wid in self._replaced:
-                    return None
-                if self._completed == len(self.graph):
+                if self._stop_dispatch or self._completed == len(self.graph):
                     return None
                 if self._ready and self._dispatchable():
                     idx = heapq.heappop(self._ready)
@@ -229,90 +177,37 @@ class DagExecutor:
                     self._max_lookahead_depth = max(
                         self._max_lookahead_depth, task.iteration - self._min_iter
                     )
-                    self._in_flight += 1
                     return task
                 self._cond.wait(timeout=0.02)
 
-    def _maybe_stall(self, wid: int) -> None:
-        hook = _stall_hook
-        if hook is None or hook["worker"] != wid:
-            return
-        if hook["fired"].is_set():
-            return
-        hook["fired"].set()
-        # Wedge with no task held and without touching the heartbeat —
-        # exactly the failure the watchdog exists to paper over.
-        time.sleep(hook["seconds"])
-
-    def _worker(self, wid: int, t0: float) -> None:
-        while True:
-            self._maybe_stall(wid)
-            task = self._fetch(wid)
-            if task is None:
-                return
+    def _worker(self, t0: float) -> None:
+        while (task := self._fetch()) is not None:
             try:
                 self._execute(task, t0)
             except BaseException as exc:  # noqa: BLE001 - re-raised by run()
                 with self._cond:
                     self._failures.append((task.index, exc))
                     self._stop_dispatch = True
-                    self._in_flight -= 1
                     self._cond.notify_all()
                 return
             with self._cond:
                 self._note_done(task)
-                self._in_flight -= 1
                 self._cond.notify_all()
-
-    def _spawn(self, t0: float) -> int:
-        wid = self._next_wid
-        self._next_wid += 1
-        self._heartbeat[wid] = time.monotonic()
-        thread = threading.Thread(
-            target=self._worker, args=(wid, t0), name=f"dag-worker-{wid}", daemon=True
-        )
-        self._threads.append(thread)
-        thread.start()
-        return wid
-
-    def _watchdog_pass(self, t0: float, timeout_s: float) -> None:
-        now = time.monotonic()
-        with self._cond:
-            if self._stop_dispatch or self._completed == len(self.graph):
-                return
-            stale = [
-                wid
-                for wid, beat in self._heartbeat.items()
-                if wid not in self._replaced and now - beat > timeout_s
-            ]
-            for wid in stale:
-                self._replaced.add(wid)
-                self._stalls += 1
-        for _ in stale:
-            self._spawn(t0)
 
     def _run_threaded(self) -> None:
         t0 = time.perf_counter()
-        hook = _stall_hook
-        timeout_s = self.stall_timeout_s if hook is None else hook["timeout_s"]
         with self._cond:
             self._seed_ready()
-        for _ in range(self.workers):
-            self._spawn(t0)
-        check_every = max(0.01, timeout_s / 4)
-        while True:
-            with self._cond:
-                if self._completed == len(self.graph):
-                    break
-                if self._stop_dispatch and self._in_flight == 0:
-                    break
-                self._cond.wait(timeout=check_every)
-            self._watchdog_pass(t0, timeout_s)
-        with self._cond:
-            self._stop_dispatch = True
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=max(1.0, timeout_s))
+        threads = [
+            threading.Thread(target=self._worker, args=(t0,), name=f"dag-worker-{i}", daemon=True)
+            for i in range(self.workers)
+        ]
+        for thread in threads:
+            thread.start()
+        # A worker exits once the graph completes, or, after a failure,
+        # once its in-flight task drains.
+        for thread in threads:
+            thread.join()
         if self._failures:
             self._failures.sort(key=lambda pair: pair[0])
             raise self._failures[0][1]

@@ -209,9 +209,6 @@ class SolveService:
         self._runtime_lookahead = m.gauge(
             "runtime_lookahead_depth", "high-water iteration lookahead the runtime reached"
         )
-        self._runtime_stalls = m.counter(
-            "runtime_worker_stalls_total", "runtime workers replaced by the watchdog"
-        )
         self._journal_records = m.counter(
             "service_journal_records_total", "job lifecycle records appended to the journal"
         )
@@ -728,9 +725,6 @@ class SolveService:
         self._runtime_lookahead.set(
             max(self._runtime_lookahead.value(), float(runtime.get("max_lookahead_depth", 0)))
         )
-        stalls = runtime.get("stalls", 0)
-        if stalls:
-            self._runtime_stalls.inc(stalls)
 
     def _dump_job_trace(self, job: Job, result: JobResult) -> None:
         trace_dir = Path(self.config.trace_dir)

@@ -1,10 +1,12 @@
-"""The rule table in docs/static_analysis.md is generated, not hand-kept.
+"""Generated doc tables stay in sync with the code that renders them.
 
-``rules_table()`` renders the live registry; the doc embeds its output
-between ``rules-table:begin``/``end`` markers.  This test fails whenever
-a rule is added, rescoped or reworded without regenerating the block —
-the doc can then be fixed by pasting the expected table printed in the
-assertion diff.
+``rules_table()`` renders the live lint registry into
+docs/static_analysis.md, and ``markdown_table()`` renders the chaos
+scenario rows into docs/fault_model.md; each doc embeds the output
+between ``<name>-table:begin``/``end`` markers.  These tests fail
+whenever a rule or a scenario row changes without regenerating its
+block — the doc can then be fixed by pasting the expected table printed
+in the assertion diff.
 """
 
 from pathlib import Path
@@ -12,18 +14,25 @@ from pathlib import Path
 import repro
 import repro.analysis.flow  # noqa: F401 -- flow-tier rules register on import
 from repro.analysis.lint import RULES, rules_table
+from repro.resilience.chaos import markdown_table
 
-DOC = Path(repro.__file__).resolve().parents[2] / "docs" / "static_analysis.md"
+DOCS = Path(repro.__file__).resolve().parents[2] / "docs"
+DOC = DOCS / "static_analysis.md"
 
-BEGIN = "<!-- rules-table:begin -->"
-END = "<!-- rules-table:end -->"
+
+def embedded_table(doc: Path, name: str) -> str:
+    begin, end = f"<!-- {name}-table:begin -->", f"<!-- {name}-table:end -->"
+    text = doc.read_text()
+    assert begin in text and end in text, f"markers missing from {doc}"
+    return text.split(begin, 1)[1].split(end, 1)[0].strip()
 
 
 def test_doc_rule_table_matches_registry():
-    text = DOC.read_text()
-    assert BEGIN in text and END in text, f"markers missing from {DOC}"
-    embedded = text.split(BEGIN, 1)[1].split(END, 1)[0].strip()
-    assert embedded == rules_table().strip()
+    assert embedded_table(DOC, "rules") == rules_table().strip()
+
+
+def test_doc_chaos_table_matches_scenarios():
+    assert embedded_table(DOCS / "fault_model.md", "chaos") == markdown_table().strip()
 
 
 def test_doc_mentions_every_rule_id():

@@ -1,7 +1,7 @@
 """Chaos harness: scenario mechanics and scorecard contract.
 
 Every scenario runs here at a small size (4 jobs of n = 48, one backend
-worker).  The thread-backed ones (flood, stop race, dag worker stall,
+worker).  The thread-backed ones (flood, stop race, dag slow tasks,
 kill-and-restart) take about a second together; the process-pool ones
 (worker crash and wedge, slow worker, shm corruption and truncation,
 breaker failover, the erasure pair) spawn a pool each and take about
@@ -11,7 +11,9 @@ campaign at its default size.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tempfile
 
 import pytest
 
@@ -19,6 +21,10 @@ from repro.resilience import chaos
 from repro.util.exceptions import ValidationError
 
 CFG = chaos.ChaosConfig(jobs=4, n=48, block_size=16, exec_workers=1)
+
+
+def run(name: str, cfg: chaos.ChaosConfig = CFG) -> chaos.ScenarioResult:
+    return chaos.run_scenario(chaos.SCENARIOS[name], cfg)
 
 
 class TestScenarioRegistry:
@@ -33,8 +39,8 @@ class TestScenarioRegistry:
         # truncation, flood, stop race (+ breaker, journal recovery).
         assert len(chaos.SCENARIOS) >= 6
 
-    def test_dag_worker_stall_is_registered(self):
-        assert "dag_worker_stall" in chaos.SCENARIOS
+    def test_dag_slow_tasks_is_registered(self):
+        assert "dag_slow_tasks" in chaos.SCENARIOS
         assert len(chaos.SCENARIOS) == 12
 
     def test_recovery_pair_is_registered_and_quick(self):
@@ -49,7 +55,7 @@ class TestScenarioRegistry:
 
 class TestCheapScenarios:
     def test_queue_flood_rejects_and_loses_nothing(self):
-        result = chaos.scenario_queue_flood(CFG)
+        result = run("queue_flood")
         assert result.ok, result.violations
         assert result.rejected > 0
         assert result.invariants["rejections_have_retry_after"]
@@ -57,31 +63,37 @@ class TestCheapScenarios:
         assert result.invariants["metrics_consistent"]
 
     def test_stop_race_settles_every_job(self):
-        result = chaos.scenario_stop_race(CFG)
+        result = run("stop_race")
         assert result.ok, result.violations
         assert result.submitted == result.completed + result.failed + result.rejected
 
-    def test_dag_worker_stall_replaces_the_worker(self):
-        result = chaos.scenario_dag_worker_stall(CFG)
+    def test_dag_slow_tasks_keep_bits_and_counts(self):
+        result = run("dag_slow_tasks")
         assert result.ok, result.violations
-        assert result.invariants["stall_injected"]
-        assert result.invariants["stall_detected"]
+        assert result.invariants["runtime_tasks_counted"]
         assert result.invariants["factors_bit_identical"]
         assert result.invariants["executor_metrics_consistent"]
-        assert result.notes["runtime_stalls"] >= 1
         assert result.notes["task_totals"]["potf2"] > 0
 
     def test_kill_restart_recovers_the_backlog(self, tmp_path):
         cfg = chaos.ChaosConfig(
             jobs=4, n=48, block_size=16, exec_workers=1, workdir=tmp_path
         )
-        result = chaos.scenario_kill_restart(cfg)
+        result = run("kill_restart", cfg)
         assert result.ok, result.violations
         assert result.invariants["journal_replay_complete"]
         assert result.invariants["journal_drained"]
         assert result.notes["admitted"] == 4
         assert result.notes["incomplete_after_recovery"] == 0
         assert (tmp_path / "kill_restart.journal.jsonl").exists()
+
+    def test_no_temporary_directory_survives(self, tmp_path, monkeypatch):
+        # Without a configured workdir each scenario journals into its own
+        # temporary directory, which must be gone once it is judged.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        doc = chaos.run_chaos(CFG, ("kill_restart", "stop_race"))
+        assert doc["ok"], doc["scenarios"]
+        assert list(tmp_path.iterdir()) == []
 
 
 #: process-pool scenario → the invariants it adds to the shared battery
@@ -99,12 +111,15 @@ _POOL_SCENARIOS = {
 
 class TestProcessPoolScenarios:
     def test_table_covers_every_pool_scenario(self):
-        thread_backed = {"queue_flood", "stop_race", "kill_restart", "dag_worker_stall"}
+        thread_backed = {"queue_flood", "stop_race", "kill_restart", "dag_slow_tasks"}
         assert set(_POOL_SCENARIOS) == set(chaos.SCENARIOS) - thread_backed
+        assert {name for name, row in chaos.SCENARIOS.items() if row.backend == "process"} == set(
+            _POOL_SCENARIOS
+        )
 
     @pytest.mark.parametrize("name", list(_POOL_SCENARIOS))
     def test_scenario_holds_its_invariants(self, name):
-        result = chaos.SCENARIOS[name](CFG)
+        result = run(name)
         assert result.ok, result.violations
         # The scenario's own checks ran: a fault plan that never fired
         # would pass the shared battery alone.
@@ -112,6 +127,15 @@ class TestProcessPoolScenarios:
             assert result.invariants[invariant], invariant
         assert result.invariants["pool_whole_after_drain"]
         assert result.completed == result.submitted
+
+    @pytest.mark.parametrize(
+        "name, own_check", [("worker_crash", "crash_survived"), ("shm_corruption", "crc_detected")]
+    )
+    def test_row_fails_when_its_fault_never_fires(self, name, own_check):
+        unarmed = dataclasses.replace(chaos.SCENARIOS[name], arm=None)
+        result = chaos.run_scenario(unarmed, CFG)
+        assert result.ok is False
+        assert own_check in result.violations
 
 
 class TestScorecard:
@@ -128,25 +152,29 @@ class TestScorecard:
         assert "stop_race" in text and "PASS" in text
 
     def test_render_lists_violations(self):
+        failed = {
+            "ok": False,
+            "violations": ["no_lost_jobs"],
+            "completed": 0,
+            "failed": 1,
+            "rejected": 0,
+            "retries": 0,
+            "p99_s": 0.0,
+            "wall_s": 0.0,
+        }
         doc = {
             "config": {"jobs": 1, "n": 8, "block_size": 4, "exec_workers": 1},
-            "scenarios": {
-                "x": {
-                    "ok": False,
-                    "violations": ["no_lost_jobs"],
-                    "completed": 0,
-                    "failed": 1,
-                    "rejected": 0,
-                    "retries": 0,
-                    "p99_s": 0.0,
-                    "wall_s": 0.0,
-                }
-            },
+            "scenarios": {"x": failed, "erasure_forward_recovery": failed},
             "ok": False,
         }
         text = chaos.render(doc)
         assert "violated: no_lost_jobs" in text
         assert "overall: FAIL" in text
+        # The name column fits the longest row name, so the verdicts line up
+        # under the header's "ok" however long the names are.
+        header, *rows = [line for line in text.splitlines()[1:-1] if "violated" not in line]
+        ok_end = header.index(" ok") + len(" ok")
+        assert [row.index("FAIL") + len("FAIL") for row in rows] == [ok_end, ok_end]
 
     def test_reference_factors_are_deterministic(self):
         jobs = chaos._jobs(CFG, count=2)
