@@ -272,15 +272,6 @@ class CallGraph:
             return owned
         return [f for f in cands if f.owner is not None]
 
-    def callers_of(self, name: str) -> list[tuple[FunctionInfo, CallSite]]:
-        """Every (function, call site) pair that calls *name*."""
-        out: list[tuple[FunctionInfo, CallSite]] = []
-        for fn in self.functions:
-            for call in fn.calls:
-                if call.callee == name:
-                    out.append((fn, call))
-        return out
-
     # ── serialization ───────────────────────────────────────────────────
 
     def to_json(self) -> str:

@@ -32,12 +32,13 @@ The rules guard properties the test suite cannot see directly:
   inside the designated hot modules (``core/correct.py``,
   ``core/checksum.py``, ``core/update.py``, ``core/batchverify.py``), a
   ``for``/``while`` loop body must not call the per-tile accessors
-  ``tile_view`` / ``strip`` / ``block``.  The batched engine
+  ``tile_view`` / ``strip`` / ``block``.  The checksum detector
   (:mod:`repro.core.batchverify`) exists so these paths issue stacked
-  operations over run views; a new per-tile loop silently reintroduces
-  the swarm of small kernels Optimization 1 removed.  Cold paths
-  (diagnostics, host reference implementations) opt out with
-  ``# noqa: RPL006`` on the loop line.
+  operations over gathered batches and fused panels; a new per-tile loop
+  silently reintroduces the swarm of small kernels Optimization 1
+  removed.  Cold paths (host reference implementations, the flagged
+  tiles only) and measured exceptions opt out with ``# noqa: RPL006``
+  on the loop line.
 - **RPL007** — no ndarray passed positionally into a cross-process submit
   call (``put`` / ``put_nowait`` / ``submit`` / ``apply_async`` / ``send``)
   inside ``exec/`` and ``service/``.  The process backend's zero-copy
@@ -363,8 +364,9 @@ _HOT_MODULES = (
 )
 
 #: Per-tile accessors whose presence in a loop body marks a per-tile loop.
-#: The fused run accessors (``strip_row``, ``strip_panel``, ``block_row``,
-#: ``run_view`` …) are exactly what the rule pushes code toward.
+#: The fused panel accessors (``strip_row``, ``strip_panel``,
+#: ``block_row``) and the gathered ``tiles4[ii, :, jj, :]`` batch are
+#: exactly what the rule pushes code toward.
 _PER_TILE_ACCESSORS = {"tile_view", "strip", "block"}
 
 
@@ -392,8 +394,8 @@ def _check_per_tile_loops(target: LintTarget) -> list[tuple[int, str]]:
                     (
                         node.lineno,
                         f"per-tile {inner.func.attr}() loop on the hot path; "
-                        "stack the batch through a run view / "
-                        "BatchVerifyEngine instead (or # noqa: RPL006 a "
+                        "stack the batch through repro.core.batchverify "
+                        "or a fused panel instead (or # noqa: RPL006 a "
                         "cold path)",
                     )
                 )

@@ -18,7 +18,6 @@ the whole-schedule analysis comfortably subsecond.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from repro.desim.trace import (
     META_CHK_READS,
@@ -50,15 +49,6 @@ def _normalize_tiles(value: object) -> list[Tile]:
         a, b = item
         tiles.append((int(a), int(b)))
     return tiles
-
-
-@dataclass(frozen=True)
-class Access:
-    """One tile access by one span."""
-
-    tid: int
-    tile: Tile
-    space: str
 
 
 class AccessGraph:

@@ -95,9 +95,7 @@ def checkpoint_potrf(
     tile_bytes = ctx.tile_bytes(bs)
     state_bytes = n * n * 8 + chk.nbytes
 
-    main.last = issue_encoding(
-        ctx, matrix, chk, verifier.streams, engine=verifier.engine
-    )
+    main.last = issue_encoding(ctx, matrix, chk, verifier.streams)
 
     # Host-side snapshots (real mode keeps actual copies; shadow keeps taint
     # snapshots).  The snapshot transfer is priced on the d2h link.

@@ -20,8 +20,8 @@ Commands:
     (RPL101–RPL103: CFG + dataflow + call graph).  ``--format sarif``
     emits SARIF 2.1.0 for CI annotation consumers.
 ``bench``
-    Benchmark the verification hot path (batched engine vs per-tile
-    loop) plus the tile-DAG runtime (serial vs threaded with lookahead)
+    Benchmark the verification hot path (the batched detector vs the
+    per-tile loop) plus the tile-DAG runtime (serial vs threaded with lookahead)
     and write ``BENCH_hotpath.json``.
 ``serve``
     Run the async fault-tolerant solve service against a synthetic or
@@ -437,7 +437,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         print(f"run appended to {append_history(doc, bench='hotpath', path=args.history)}")
     if not all(doc["bit_identical"].values()):
-        print("repro: bench: batched results diverge from per-tile", file=sys.stderr)
+        print("repro: bench: detector sweep diverges from per-tile", file=sys.stderr)
         return 1
     grid = doc["dag"]["grid"]
     for point in grid:
@@ -447,9 +447,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.fail_below is not None and doc["speedup"]["verify_check"] < args.fail_below:
+    if args.fail_below is not None and doc["speedup"]["sweep_check"] < args.fail_below:
         print(
-            f"repro: bench: verify speedup {doc['speedup']['verify_check']:.2f}x "
+            f"repro: bench: verify sweep speedup {doc['speedup']['sweep_check']:.2f}x "
             f"below the --fail-below {args.fail_below:g}x gate",
             file=sys.stderr,
         )
@@ -780,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fail-below", type=float, default=None, metavar="X",
-        help="exit nonzero if the verify speedup (or, with --service, the "
+        help="exit nonzero if the verify sweep speedup (or, with --service, the "
         "process pool's jobs/sec scaling) is below X (CI gate; the "
         "service gate is skipped with a notice on hosts under 4 cores)",
     )

@@ -141,7 +141,6 @@ class SchemeRun:
             atol=config.atol,
             strips_on_host=self.placement == "cpu",
             stats=self.stats,
-            batched=config.batched_verify,
         )
         self.updater = ChecksumUpdater(
             self.ctx, self.matrix, self.chk, self.placement, self.main
@@ -158,13 +157,7 @@ class SchemeRun:
         placement) is anchored after the encode barrier too — its first
         strip update must not race the encoding kernels.
         """
-        done = issue_encoding(
-            self.ctx,
-            self.matrix,
-            self.chk,
-            self.verifier.streams,
-            engine=self.verifier.engine,
-        )
+        done = issue_encoding(self.ctx, self.matrix, self.chk, self.verifier.streams)
         self.main.last = done
         self.updater.anchor(done)
         self.injector.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)

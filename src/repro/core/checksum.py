@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blas.blocked import BlockedMatrix
-from repro.core.batchverify import BatchVerifyEngine
+from repro.core.batchverify import encode
 from repro.core.multierror import encode_strip as encode_strip  # re-export
 from repro.core.multierror import vandermonde_weights
 from repro.desim.task import Task
@@ -45,7 +45,6 @@ def issue_encoding(
     chk: DeviceChecksums,
     streams: list[Stream],
     after: list[Task] | None = None,
-    engine: BatchVerifyEngine | None = None,
 ) -> Task:
     """Encode every lower-triangle tile on the device.
 
@@ -54,9 +53,8 @@ def issue_encoding(
     the whole checksum matrix is ready; the factorization's first kernel
     should depend on it.
 
-    Real-mode numerics go through *engine* (one stacked matmul per block
-    row — bit-identical to the per-tile encode); a fresh engine is built
-    when the caller has none to share.
+    Real-mode numerics go through :func:`repro.core.batchverify.encode`
+    (bit-identical to the per-tile encode).
     """
     b = matrix.block_size
     keys = [(i, j) for i in range(matrix.nb) for j in range(i + 1)]
@@ -85,9 +83,7 @@ def issue_encoding(
         )
         tails.append(task)
     if ctx.real:
-        if engine is None:
-            engine = BatchVerifyEngine(matrix, chk)
-        engine.encode(keys)
+        encode(matrix, chk, keys, vandermonde_weights(b, chk.rows_per_tile))
     # The barrier doubles as a verification event: at encode time every tile
     # is by definition consistent with its freshly built strip.
     return ctx.graph.barrier(

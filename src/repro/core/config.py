@@ -46,11 +46,6 @@ class AbftConfig:
         Verify the whole factor after the last iteration.  Offline-ABFT is
         *defined* by this sweep; for Enhanced it closes the window between
         each block's last update and the end of the run.
-    batched_verify:
-        Real-mode detection via the stacked batch engine
-        (:mod:`repro.core.batchverify`); False restores the per-tile
-        Python loop.  Bit-identical outcomes either way — the knob exists
-        for A/B benchmarking (``python -m repro bench``).
     dag_workers:
         Worker threads for the ``dag`` scheme's tile-task runtime
         (:mod:`repro.runtime`).  1 executes the graph serially in program
@@ -72,7 +67,6 @@ class AbftConfig:
     n_checksums: int = 2
     max_restarts: int = 1
     final_sweep: bool = True
-    batched_verify: bool = True
     dag_workers: int = 1
     lookahead: int = 1
 

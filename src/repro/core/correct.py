@@ -27,19 +27,19 @@ numerics, using :meth:`repro.faults.taint.TaintState.correctable`.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batchverify import BatchVerifyEngine
+from repro.core.batchverify import detect
 from repro.core.multierror import MultiErrorCodec, vandermonde_weights
 from repro.desim.task import Task
 from repro.hetero.context import ExecutionContext
 from repro.hetero.costmodel import KernelCost
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.util.exceptions import UnrecoverableError
-from repro.util.validation import check_positive, require
+from repro.util.validation import check_positive
 
 #: Tolerated deviation of the row locator δ₂/δ₁ from an integer.
 _LOCATOR_SLACK = 0.05
@@ -57,11 +57,6 @@ class VerifyStats:
     corrected_sites: list[tuple[tuple[int, int], int, int]] = field(
         default_factory=list
     )  # (tile, row, col)
-    #: Host wall-clock seconds spent in real-mode checksum checking — the
-    #: quantity ``python -m repro bench`` compares across verify modes.
-    #: Excluded from equality so batched/per-tile stat parity can be
-    #: asserted directly.
-    check_wall_s: float = field(default=0.0, compare=False)
 
 
 class Verifier:
@@ -84,11 +79,6 @@ class Verifier:
         True when checksum updating runs on the CPU (Optimization 2's CPU
         placement): each batch then pays an extra host→device strip
         transfer, the "verification related transfer" of Section VI.
-    batched:
-        Route real-mode detection through the stacked
-        :class:`~repro.core.batchverify.BatchVerifyEngine` (default);
-        False forces the historical per-tile loop.  Results are
-        bit-identical either way — only the wall time differs.
     """
 
     def __init__(
@@ -101,7 +91,6 @@ class Verifier:
         atol: float = 1e-12,
         strips_on_host: bool = False,
         stats: VerifyStats | None = None,
-        batched: bool = True,
     ) -> None:
         check_positive("n_streams", n_streams)
         self.ctx = ctx
@@ -110,16 +99,14 @@ class Verifier:
         self.rtol = rtol
         self.atol = atol
         self.strips_on_host = strips_on_host
-        self.batched = batched
         self.stats = stats if stats is not None else VerifyStats()
-        self.engine = BatchVerifyEngine(matrix, chk, rtol=rtol, atol=atol)
         self.streams = [ctx.stream(f"recalc{i}") for i in range(n_streams)]
         self.n_checksums = chk.rows_per_tile
-        self._weights = vandermonde_weights(matrix.block_size, self.n_checksums)
+        self.weights = vandermonde_weights(matrix.block_size, self.n_checksums)
         # For r > 2 checksums, detection/correction delegates to the
         # generalized Prony decoder; the r = 2 fast path below additionally
         # repairs corrupted checksum rows, which the paper's scheme needs.
-        self._codec = (
+        self.codec = (
             MultiErrorCodec(
                 matrix.block_size, n_checksums=self.n_checksums, rtol=rtol, atol=atol
             )
@@ -152,7 +139,7 @@ class Verifier:
         if self.strips_on_host:
             # The maintained strips live in host memory; stage them onto the
             # device for the comparison (Section VI 6(c), Enhanced variant).
-            strip_bytes = 2 * self.matrix.block_size * 8 * len(keys)
+            strip_bytes = self.n_checksums * self.matrix.block_size * 8 * len(keys)
             deps.append(
                 self.ctx.transfer_h2d(
                     strip_bytes, name=f"strips_h2d[{label}]", deps=deps or None
@@ -192,9 +179,7 @@ class Verifier:
         self.stats.batches += 1
         self.stats.tiles_verified += len(keys)
         if self.ctx.real:
-            t0 = time.perf_counter()
             self.check_real(keys)
-            self.stats.check_wall_s += time.perf_counter() - t0
         elif self.matrix.any_taint() or self.chk.any_taint():
             # Clean buffers verify clean tile by tile: only walk dirty ones.
             for key in keys:
@@ -204,33 +189,16 @@ class Verifier:
     # ------------------------------------------------------------------ real
 
     def check_real(self, keys: list[tuple[int, int]]) -> None:
-        """Real-mode detection + correction for one batch of keys.
-
-        Batched mode stacks the whole batch through the engine and sends
-        only the flagged tiles (usually none) to the per-tile decoder;
-        flagged keys come back in batch order, so corrections, statistics
-        and the first-failure :class:`UnrecoverableError` are identical to
-        the per-tile path's.
-        """
-        if self.batched and len(keys) > 1:
-            # Singleton batches skip the engine: stacking one tile buys
-            # nothing and the per-tile check is the same comparison.
-            for key in self.engine.detect(keys):
-                self._check_tile_real(key)
-        else:
-            for key in keys:
-                self._check_tile_real(key)
-
-    def _check_tile_real(self, key: tuple[int, int]) -> None:
-        check_tile_strip(
-            key,
-            self.matrix.tile_view(key),
-            self.chk.tile_view(key),
-            self._weights,
+        """Real-mode detection + correction for one batch of keys."""
+        check_tiles(
+            self.matrix,
+            self.chk,
+            keys,
+            self.weights,
             rtol=self.rtol,
             atol=self.atol,
             stats=self.stats,
-            codec=self._codec,
+            codec=self.codec,
         )
 
     # ------------------------------------------------------------------ shadow
@@ -269,6 +237,38 @@ class Verifier:
         return [(i, j) for j in range(nb) for i in range(j, nb)]
 
 
+def check_tiles(
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
+    keys: list[tuple[int, int]],
+    weights: np.ndarray,
+    *,
+    rtol: float,
+    atol: float,
+    stats: VerifyStats,
+    codec: MultiErrorCodec | None = None,
+) -> None:
+    """Detect over the whole batch, then decode each flagged tile.
+
+    The one verify path of :meth:`Verifier.check_real` and the tile-DAG
+    runtime's verify tasks (:mod:`repro.runtime.cholesky`).  Flagged keys
+    come back from :func:`~repro.core.batchverify.detect` in batch order,
+    so corrections, statistics and the first
+    :class:`UnrecoverableError` are those of a per-tile loop.
+    """
+    for key in detect(matrix, chk, keys, weights, rtol=rtol, atol=atol):  # noqa: RPL006 - flagged tiles only, usually none
+        check_tile_strip(
+            key,
+            matrix.tile_view(key),
+            chk.tile_view(key),
+            weights,
+            rtol=rtol,
+            atol=atol,
+            stats=stats,
+            codec=codec,
+        )
+
+
 def check_tile_strip(
     key: tuple[int, int],
     tile: np.ndarray,
@@ -282,11 +282,9 @@ def check_tile_strip(
 ) -> None:
     """Detect/correct one tile against its strip (pure host numerics).
 
-    The shared core of :meth:`Verifier._check_tile_real` and the tile-DAG
-    runtime's verify tasks (:mod:`repro.runtime.cholesky`): both paths
-    run these exact operations, so detection thresholds, correction
-    values, statistics and :class:`UnrecoverableError` identity are
-    bit-for-bit common property, not parallel implementations.
+    The per-tile decoder behind :func:`check_tiles`.  A checksum element
+    fails unless ``|δ| <= tol``, so a NaN element is repaired like any
+    other corrupt checksum row.
     """
     if codec is not None:
         try:
@@ -310,7 +308,7 @@ def check_tile_strip(
             f"tile {key}: checksum recalculation is not finite", block=key
         )
     delta = fresh - strip
-    bad = np.abs(delta) > tol
+    bad = ~(np.abs(delta) <= tol)
     if not bad.any():
         return
     cols = np.nonzero(bad.any(axis=0))[0]
@@ -324,7 +322,7 @@ def check_tile_strip(
     # the fresh tolerance catches that and escalates to a restart.
     fresh2 = weights @ tile
     tol2 = rtol * (weights @ np.abs(tile)) + atol
-    if (np.abs(fresh2 - strip) > tol2).any():
+    if not (np.abs(fresh2 - strip) <= tol2).all():
         raise UnrecoverableError(
             f"tile {key}: corruption persists after correction", block=key
         )
@@ -342,10 +340,15 @@ def _fix_column(
     b = tile.shape[0]
     d1 = fresh[0, col] - strip[0, col]
     d2 = fresh[1, col] - strip[1, col]
-    bad1 = abs(d1) > tol[0, col]
-    bad2 = abs(d2) > tol[1, col]
+    bad1 = not abs(d1) <= tol[0, col]
+    bad2 = not abs(d2) <= tol[1, col]
     if bad1 and bad2:
         ratio = d2 / d1
+        if not math.isfinite(ratio):
+            raise UnrecoverableError(
+                f"tile {key} column {col}: locator {ratio} is not finite",
+                block=key,
+            )
         row = round(ratio)
         if abs(ratio - row) > _LOCATOR_SLACK or not 1 <= row <= b:
             raise UnrecoverableError(
@@ -370,14 +373,3 @@ def _fix_column(
         strip[1, col] = fresh[1, col]
         stats.checksum_corrections += 1
 
-
-def require_consistent(verifier: Verifier, keys: list[tuple[int, int]]) -> None:
-    """Assert-style full verification with no correction budget (tests)."""
-    require(verifier.ctx.real, "require_consistent needs real numerics")
-    for key in keys:  # noqa: RPL006 - diagnostic helper, not the hot path
-        tile = verifier.matrix.tile_view(key)
-        strip = verifier.chk.tile_view(key)
-        fresh = verifier._weights @ tile
-        tol = verifier.rtol * (verifier._weights @ np.abs(tile)) + verifier.atol
-        if (np.abs(fresh - strip) > tol).any():
-            raise UnrecoverableError(f"tile {key} inconsistent", block=key)

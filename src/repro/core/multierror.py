@@ -62,8 +62,8 @@ def encode_strip(tile: np.ndarray, n_checksums: int = 2) -> np.ndarray:
     """The (m+1)×B column-checksum strip of one tile (pure numerics).
 
     The canonical single-tile encode — ``repro.core.checksum`` re-exports
-    it, and the batched engine (:mod:`repro.core.batchverify`) reproduces
-    it bit-for-bit over stacked runs.
+    it, and :func:`repro.core.batchverify.encode` reproduces it
+    bit-for-bit over stacked batches.
     """
     return vandermonde_weights(tile.shape[0], n_checksums) @ tile
 
@@ -151,6 +151,10 @@ class MultiErrorCodec:
             # hides every syndrome, so no decode can be trusted.
             raise UnrecoverableError("checksum recalculation is not finite")
         syndromes = fresh - strip
+        if not np.isfinite(syndromes).all():
+            # A NaN syndrome passes every comparison against a tolerance,
+            # and no locator explains an infinite one: restart.
+            raise UnrecoverableError("checksum syndrome is not finite")
         corrections: list[ColumnCorrection] = []
         bad_cols = np.nonzero((np.abs(syndromes) > tol).any(axis=0))[0]
         for col in bad_cols:

@@ -1,22 +1,24 @@
-"""Hot-path benchmark: batched verification and the tile-DAG runtime.
+"""Hot-path benchmark: the checksum detector and the tile-DAG runtime.
 
-``python -m repro bench`` runs the same fault-tolerant factorization
-twice — once with the stacked :class:`~repro.core.batchverify.BatchVerifyEngine`
-and once with the historical per-tile Python loop — and emits
-``BENCH_hotpath.json``: per-phase wall timings, the batched-vs-per-tile
-speedup, and the bit-identity verdicts (factors, corrected sites,
-verifier statistics must match exactly; only the wall time may differ).
+``python -m repro bench`` times one fault-tolerant factorization, then a
+full lower-triangle verify sweep over the same planted fault through two
+paths: :meth:`~repro.core.correct.Verifier.check_real` (the batched
+detector, then the per-tile decoder on the flagged tiles) and
+:func:`check_per_tile`, the per-tile reference loop.  It emits
+``BENCH_hotpath.json``: the wall timings, the sweep speedup, and the
+bit-identity verdicts of the sweep (data, strips and verifier statistics
+must match exactly; only the wall time may differ).
 
-Schema 3 adds the ``dag`` section: the :mod:`repro.runtime` tile-DAG
-scheme timed serial (1 worker, program order) against threaded with
-lookahead over an n-grid, fault injected, with the same bit-identity
-verdicts — the runtime's contract is that the schedule changes only the
-wall clock, never a bit of the result.
+The ``dag`` section times the :mod:`repro.runtime` tile-DAG scheme serial
+(1 worker, program order) against threaded with lookahead over an
+n-grid, fault injected, with the same kind of verdicts — the runtime's
+contract is that the schedule changes only the wall clock, never a bit
+of the result.
 
-The file at the repo root is the perf trajectory: every PR that touches
-the hot path regenerates it, and the CI perf-smoke job fails if batched
-verification ever becomes slower than the loop it replaced (and, on
-hosts with enough cores, if the DAG runtime stops beating serial).
+The file at the repo root is the perf trajectory: every change that
+touches the hot path regenerates it, and the CI perf-smoke job fails if
+the detector ever becomes slower than the per-tile loop (and, on hosts
+with enough cores, if the DAG runtime stops beating serial).
 """
 
 from __future__ import annotations
@@ -33,17 +35,22 @@ from repro.blas.spd import random_spd
 from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
 from repro.core.base import FtPotrfResult
 from repro.core.checksum import issue_encoding
-from repro.core.correct import Verifier
+from repro.core.correct import Verifier, VerifyStats, check_tile_strip
+from repro.core.multierror import MultiErrorCodec
 from repro.experiments.stamp import run_stamp
-from repro.faults.injector import single_storage_fault
+from repro.faults.injector import Hook, single_storage_fault
 from repro.hetero.machine import Machine
+from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.runtime.scheme import DagPotrfResult, dag_potrf
 from repro.util.validation import require
 
 #: Schema 2 added the ``stamp`` provenance block (git rev, hostname, CPU
 #: count, timestamp); schema 3 the ``dag`` section (tile-DAG runtime
-#: serial-vs-threaded grid).  :func:`read` still accepts older documents.
-SCHEMA_VERSION = 3
+#: serial-vs-threaded grid); schema 4 dropped the factorization-level
+#: verify A/B (``verify_check``), so ``factor_total`` is one number and
+#: the sweep alone compares the two paths.  :func:`read` still accepts
+#: older documents.
+SCHEMA_VERSION = 4
 
 _SCHEMES = {
     "offline": offline_potrf,
@@ -52,8 +59,7 @@ _SCHEMES = {
 }
 
 #: Where the fault is planted (tile, iteration) — early enough that every
-#: scheme's verification sees and corrects it, so the bench also pins the
-#: correction path's parity between the two modes.
+#: scheme's verification sees and corrects it.
 _FAULT_BLOCK = (3, 1)
 _FAULT_ITERATION = 1
 
@@ -70,16 +76,40 @@ def default_dag_workers() -> int:
     return max(2, min(4, os.cpu_count() or 1))
 
 
+def check_per_tile(
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
+    keys: list[tuple[int, int]],
+    weights: np.ndarray,
+    *,
+    rtol: float,
+    atol: float,
+    stats: VerifyStats,
+    codec: MultiErrorCodec | None = None,
+) -> None:
+    """The per-tile reference: :func:`check_tile_strip` on every key.
+
+    Same signature and outcome as :func:`repro.core.correct.check_tiles`,
+    without the batched detector in front.  Only the sweep below and the
+    parity tests call it.
+    """
+    for key in keys:
+        check_tile_strip(
+            key,
+            matrix.tile_view(key),
+            chk.tile_view(key),
+            weights,
+            rtol=rtol,
+            atol=atol,
+            stats=stats,
+            codec=codec,
+        )
+
+
 def _factor(
-    machine: Machine,
-    a: np.ndarray,
-    block_size: int,
-    scheme: str,
-    batched: bool,
-    inject: bool,
+    machine: Machine, a: np.ndarray, block_size: int, scheme: str, inject: bool
 ) -> tuple[FtPotrfResult, float]:
     """One full factorization; returns the result and its host wall time."""
-    config = AbftConfig(batched_verify=batched)
     injector = (
         single_storage_fault(block=_FAULT_BLOCK, iteration=_FAULT_ITERATION)
         if inject
@@ -87,36 +117,63 @@ def _factor(
     )
     work = a.copy()
     t0 = time.perf_counter()
-    res = _SCHEMES[scheme](
-        machine, a=work, block_size=block_size, config=config, injector=injector
-    )
+    res = _SCHEMES[scheme](machine, a=work, block_size=block_size, injector=injector)
     return res, time.perf_counter() - t0
 
 
-def _sweep_times(
-    machine: Machine, a: np.ndarray, block_size: int, repeats: int
-) -> dict[str, float]:
-    """Pure detection microbenchmark: one full lower-triangle sweep.
+def _sweep(
+    machine: Machine, a: np.ndarray, block_size: int, repeats: int, inject: bool
+) -> tuple[dict[str, float], dict[str, bool]]:
+    """One full lower-triangle sweep through each path, best of *repeats*.
 
-    Isolates the engine from the driver — no factorization, no simulated
-    schedule, just ``check_real`` over every lower tile, best of *repeats*.
+    No factorization and no simulated schedule: every repeat restores
+    the freshly encoded buffers, plants the standard fault and times one
+    sweep.  Returns the best times and the bit-identity verdicts between
+    the two paths' final data, strips and statistics.
     """
     ctx = machine.context(numerics="real")
     matrix = ctx.alloc_matrix(a.shape[0], block_size, data=a.copy())
     chk = ctx.alloc_checksums(a.shape[0], block_size)
     verifier = Verifier(ctx, matrix, chk, n_streams=16)
-    issue_encoding(ctx, matrix, chk, verifier.streams, engine=verifier.engine)
+    issue_encoding(ctx, matrix, chk, verifier.streams)
+    clean_data, clean_chk = matrix.array.copy(), chk.array.copy()
+    injector = single_storage_fault(block=_FAULT_BLOCK)
+    injector.bind("matrix", matrix)
     keys = verifier.lower_keys()
-    out: dict[str, float] = {}
+    best: dict[str, float] = {}
+    final: dict[str, tuple[np.ndarray, np.ndarray, VerifyStats]] = {}
     for mode in ("batched", "per_tile"):
-        verifier.batched = mode == "batched"
-        best = float("inf")
+        best[mode] = float("inf")
         for _ in range(repeats):
+            matrix.array[...] = clean_data
+            chk.array[...] = clean_chk
+            if inject:
+                injector.reset()
+                injector.fire(Hook.STORAGE_WINDOW, iteration=0)
+            verifier.stats = VerifyStats()
             t0 = time.perf_counter()
-            verifier.check_real(keys)
-            best = min(best, time.perf_counter() - t0)
-        out[mode] = best
-    return out
+            if mode == "batched":
+                verifier.check_real(keys)
+            else:
+                check_per_tile(
+                    matrix,
+                    chk,
+                    keys,
+                    verifier.weights,
+                    rtol=verifier.rtol,
+                    atol=verifier.atol,
+                    stats=verifier.stats,
+                    codec=verifier.codec,
+                )
+            best[mode] = min(best[mode], time.perf_counter() - t0)
+        final[mode] = (matrix.array.copy(), chk.array.copy(), verifier.stats)
+    (b_data, b_chk, b_stats), (p_data, p_chk, p_stats) = final["batched"], final["per_tile"]
+    identical = {
+        "data": bool(np.array_equal(b_data, p_data)),
+        "strips": bool(np.array_equal(b_chk, p_chk)),
+        "stats": b_stats == p_stats,
+    }
+    return best, identical
 
 
 def _dag_factor(
@@ -202,39 +259,21 @@ def run(
     dag_workers: int | None = None,
     dag_sizes: tuple[int, ...] = _DAG_SIZES,
 ) -> dict[str, Any]:
-    """Benchmark both verify modes and the DAG runtime; returns the
-    BENCH_hotpath document (schema 3)."""
+    """Benchmark the factorization, the verify sweep through both paths
+    and the DAG runtime; returns the BENCH_hotpath document (schema 4)."""
     require(n % block_size == 0, "n must be a multiple of block_size")
     mach = Machine.preset(machine)
     a = random_spd(n, rng=seed)
 
-    results: dict[str, FtPotrfResult] = {}
-    factor_s: dict[str, float] = {}
-    verify_s: dict[str, float] = {}
-    for mode in ("batched", "per_tile"):
-        batched = mode == "batched"
-        best_wall = float("inf")
-        for _ in range(repeats):
-            res, wall = _factor(mach, a, block_size, scheme, batched, inject)
-            if wall < best_wall:
-                best_wall = wall
-                results[mode] = res
-        factor_s[mode] = best_wall
-        verify_s[mode] = results[mode].stats.check_wall_s
+    factor_s = float("inf")
+    for _ in range(repeats):
+        res, wall = _factor(mach, a, block_size, scheme, inject)
+        factor_s = min(factor_s, wall)
 
-    sweep_s = _sweep_times(mach, a, block_size, repeats)
+    sweep_s, identical = _sweep(mach, a, block_size, repeats, inject)
 
     workers = dag_workers if dag_workers is not None else default_dag_workers()
     grid = dag_grid(mach, tuple(dag_sizes), workers, repeats, seed)
-
-    batched_res, per_tile_res = results["batched"], results["per_tile"]
-    identical = {
-        "factor": bool(np.array_equal(batched_res.factor, per_tile_res.factor)),
-        "stats": batched_res.stats == per_tile_res.stats,
-        "corrected_sites": (
-            batched_res.stats.corrected_sites == per_tile_res.stats.corrected_sites
-        ),
-    }
 
     return {
         "schema": SCHEMA_VERSION,
@@ -248,17 +287,10 @@ def run(
         "repeats": repeats,
         "seed": seed,
         "fault_injected": inject,
-        "tiles_verified": batched_res.stats.tiles_verified,
-        "data_corrections": batched_res.stats.data_corrections,
-        "phases_s": {
-            "factor_total": factor_s,
-            "verify_check": verify_s,
-            "sweep_check": sweep_s,
-        },
-        "speedup": {
-            "verify_check": verify_s["per_tile"] / verify_s["batched"],
-            "sweep_check": sweep_s["per_tile"] / sweep_s["batched"],
-        },
+        "tiles_verified": res.stats.tiles_verified,
+        "data_corrections": res.stats.data_corrections,
+        "phases_s": {"factor_total": factor_s, "sweep_check": sweep_s},
+        "speedup": {"sweep_check": sweep_s["per_tile"] / sweep_s["batched"]},
         "bit_identical": identical,
         "dag": {
             "workers": workers,
@@ -279,7 +311,7 @@ def write(doc: dict[str, Any], path: str | Path) -> Path:
 
 
 def read(path: str | Path) -> dict[str, Any]:
-    """Load a bench document, accepting schemas 1 (pre-stamp), 2 and 3.
+    """Load a bench document, accepting schemas 1 (pre-stamp) to 4.
 
     Older documents are normalized in place: schema 1 gains an empty
     ``stamp`` block, schemas 1–2 an empty ``dag`` section
@@ -288,7 +320,7 @@ def read(path: str | Path) -> dict[str, Any]:
     doc = json.loads(Path(path).read_text())
     schema = doc.get("schema")
     require(
-        schema in (1, 2, SCHEMA_VERSION),
+        schema in (1, 2, 3, SCHEMA_VERSION),
         f"unsupported bench schema {schema!r} in {path} (have 1..{SCHEMA_VERSION})",
     )
     doc.setdefault("stamp", {})
@@ -304,16 +336,12 @@ def render(doc: dict[str, Any]) -> str:
     lines = [
         f"hotpath bench — {doc['scheme']} n={doc['n']} B={doc['block_size']} "
         f"(nb={doc['nb']}, {doc['machine']}, best of {doc['repeats']})",
-        f"  verify wall : per-tile {ph['verify_check']['per_tile'] * 1e3:8.2f} ms"
-        f" | batched {ph['verify_check']['batched'] * 1e3:8.2f} ms"
-        f" | speedup {sp['verify_check']:5.2f}x",
         f"  full sweep  : per-tile {ph['sweep_check']['per_tile'] * 1e3:8.2f} ms"
         f" | batched {ph['sweep_check']['batched'] * 1e3:8.2f} ms"
         f" | speedup {sp['sweep_check']:5.2f}x",
-        f"  factor wall : per-tile {ph['factor_total']['per_tile']:8.3f} s "
-        f" | batched {ph['factor_total']['batched']:8.3f} s",
-        f"  bit-identical: factor={ok['factor']} stats={ok['stats']} "
-        f"sites={ok['corrected_sites']} "
+        f"  sweep bit-identical: data={ok['data']} strips={ok['strips']} "
+        f"stats={ok['stats']}",
+        f"  factor wall : {ph['factor_total']:8.3f} s "
         f"({doc['tiles_verified']} tiles verified, "
         f"{doc['data_corrections']} corrections)",
     ]

@@ -10,7 +10,6 @@ want "the whole evaluation, one file".
 from __future__ import annotations
 
 import pathlib
-import time
 
 from repro.experiments import (
     analytic,
@@ -86,12 +85,10 @@ def write_report(
     path: str | pathlib.Path | None = None, quick: bool = True
 ) -> pathlib.Path:
     """Build the report and write it to *path* (default: results/report.txt)."""
-    t0 = time.perf_counter()
     text = build_report(quick=quick)
     if path is None:
         path = pathlib.Path(__file__).resolve().parents[3] / "results" / "report.txt"
     path = pathlib.Path(path)
     path.parent.mkdir(exist_ok=True)
     path.write_text(text)
-    elapsed = time.perf_counter() - t0
-    return path if elapsed >= 0 else path
+    return path

@@ -20,6 +20,7 @@ checksum strip over clean data is also repairable (by re-encoding).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -30,7 +31,11 @@ class TaintState:
     A state may be *bound* to an owning buffer (see
     :meth:`repro.hetero.memory.DeviceBuffer.taint_of`); every mutator then
     notifies the owner so it can maintain an incremental dirty-key set
-    instead of scanning all states on each ``any_taint`` query.
+    instead of scanning all states on each ``any_taint`` query.  The
+    owner is held weakly: the buffer already holds its states, and a
+    strong reference back would make every buffer with a bound state a
+    cycle that keeps a real-mode matrix alive until the cyclic collector
+    runs.
     """
 
     points: set[tuple[int, int]] = field(default_factory=set)
@@ -42,12 +47,13 @@ class TaintState:
 
     def bind(self, owner: object, key: tuple[int, int]) -> None:
         """Attach to *owner*; subsequent mutations call ``owner.mark_taint``."""
-        self._owner = owner
+        self._owner = weakref.ref(owner)
         self._key = key
 
     def _notify(self) -> None:
-        if self._owner is not None:
-            self._owner.mark_taint(self._key, not self.is_clean())
+        owner = None if self._owner is None else self._owner()
+        if owner is not None:
+            owner.mark_taint(self._key, not self.is_clean())
 
     # -- basic queries -------------------------------------------------------
 

@@ -147,11 +147,6 @@ class CostModel:
         rate = self.cpu.eff("chk_update") * self.cpu.peak_gflops * 1e9
         return KernelCost(duration=flop_count / rate, util=1.0)
 
-    def cpu_chk_potf2_update(self, b: int) -> KernelCost:
-        """Algorithm 2 on the host: a 2×B strip solve, 2·B² flops."""
-        rate = self.cpu.eff("chk_update") * self.cpu.peak_gflops * 1e9
-        return KernelCost(duration=2.0 * b * b / rate, util=1.0)
-
     # -- transfers --------------------------------------------------------------
 
     def transfer(self, nbytes: int) -> KernelCost:

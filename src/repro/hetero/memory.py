@@ -11,16 +11,10 @@ Tile-major access
 -----------------
 Both buffer kinds expose their storage as a **tile-major 4-D view**
 ``tiles4[i, :, j, :]`` (shape ``(nb, h, nb, w)``, a zero-copy reshape of
-the backing array), which is what makes batched checksum verification
-(:mod:`repro.core.batchverify`) possible without gathering: any
-*structured run* of tile keys — a column run ``(i0..i1, j)``, a row run
-``(i, j0..j1)``, or a dense rectangle — maps onto one strided view of
-shape ``(k, h, w)`` / ``(h, k·w)`` / ``(ki, kj, h, w)`` that a single
-broadcast ``W @ view`` consumes.  :func:`plan_tile_runs` decomposes an
-arbitrary ordered key list into maximal such runs; every verification
-batch the scheme drivers issue (diagonal singletons, TRSM/GEMM panels,
-the LD rectangle of the Enhanced pre-GEMM check, the offline final
-sweep) decomposes into a handful of runs.
+the backing array).  One fancy index on it, ``tiles4[ii, :, jj, :]``,
+gathers any batch of tiles into a ``(k, h, w)`` stack, which is how the
+checksum detector (:mod:`repro.core.batchverify`) recalculates a whole
+verification batch with one matmul.
 
 Taint scans are incremental: buffers keep a dirty-key set maintained by
 :class:`~repro.faults.taint.TaintState` change notifications, so
@@ -361,87 +355,12 @@ class SharedArena:
             _reap_segment(seg.shm)
 
 
-@dataclass(frozen=True, slots=True)
-class TileRun:
-    """A maximal structured subset of an ordered tile-key list.
-
-    ``kind`` is ``"col"`` (fixed j, i in ``[i0, i1)``), ``"row"`` (fixed
-    i, j in ``[j0, j1)``) or ``"rect"`` (the dense product
-    ``[i0, i1) × [j0, j1)``, row-major).  A single key is a length-1
-    column run.
-    """
-
-    kind: str
-    i0: int
-    i1: int
-    j0: int
-    j1: int
-
-    def __len__(self) -> int:
-        return (self.i1 - self.i0) * (self.j1 - self.j0)
-
-    def keys(self) -> list[tuple[int, int]]:
-        """The run's keys in the order they appeared in the batch."""
-        if self.kind == "col":
-            return [(i, self.j0) for i in range(self.i0, self.i1)]
-        if self.kind == "row":
-            return [(self.i0, j) for j in range(self.j0, self.j1)]
-        return [
-            (i, j)
-            for i in range(self.i0, self.i1)
-            for j in range(self.j0, self.j1)
-        ]
-
-
-def plan_tile_runs(keys: list[tuple[int, int]]) -> list[TileRun]:
-    """Decompose an ordered key list into maximal col/row/rect runs.
-
-    Greedy left-to-right: at each position the longer of the column run
-    (``(i, j), (i+1, j), …``) and the row run (``(i, j), (i, j+1), …``)
-    wins; consecutive equal-width row runs on consecutive block rows are
-    then coalesced into one rectangle (the Enhanced scheme's LD region).
-    The concatenation of ``run.keys()`` over the plan reproduces *keys*
-    exactly, so batch processing preserves per-key order semantics.
-    """
-    runs: list[TileRun] = []
-    p, m = 0, len(keys)
-    while p < m:
-        i, j = keys[p]
-        lc = 1
-        while p + lc < m and keys[p + lc] == (i + lc, j):
-            lc += 1
-        lr = 1
-        while p + lr < m and keys[p + lr] == (i, j + lr):
-            lr += 1
-        if lr > lc:
-            runs.append(TileRun("row", i, i + 1, j, j + lr))
-            p += lr
-        else:
-            runs.append(TileRun("col", i, i + lc, j, j + 1))
-            p += lc
-    out: list[TileRun] = []
-    for run in runs:
-        prev = out[-1] if out else None
-        if (
-            prev is not None
-            and run.kind == "row"
-            and prev.kind in ("row", "rect")
-            and prev.j0 == run.j0
-            and prev.j1 == run.j1
-            and prev.i1 == run.i0
-        ):
-            out[-1] = TileRun("rect", prev.i0, run.i1, run.j0, run.j1)
-        else:
-            out.append(run)
-    return out
-
-
 class DeviceBuffer:
     """Base class: named device allocation with taint bookkeeping.
 
     Subclasses pass the tile grid geometry (``nb`` block rows/columns of
     ``tile_shape = (h, w)`` tiles) so the base class can expose the
-    tile-major 4-D view and the structured run views built on it.
+    tile-major 4-D view.
     """
 
     def __init__(
@@ -533,33 +452,6 @@ class DeviceBuffer:
             h, w = self.tile_shape
             self._t4 = self.array.reshape(self.nb, h, self.nb, w)
         return self._t4
-
-    def col_run_view(self, i0: int, i1: int, j: int) -> np.ndarray:
-        """Tiles ``(i0..i1-1, j)`` stacked as a ``(k, h, w)`` strided view."""
-        self._check_key(i0, j)
-        self._check_key(i1 - 1, j)
-        return self.tiles4[i0:i1, :, j, :]
-
-    def row_run_view(self, i: int, j0: int, j1: int) -> np.ndarray:
-        """Tiles ``(i, j0..j1-1)`` fused as one 2-D ``h × k·w`` view."""
-        self._check_key(i, j0)
-        self._check_key(i, j1 - 1)
-        h, w = self.tile_shape
-        return self.array[i * h : (i + 1) * h, j0 * w : j1 * w]
-
-    def rect_run_view(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        """Tile rectangle as a ``(ki, kj, h, w)`` strided view (row-major)."""
-        self._check_key(i0, j0)
-        self._check_key(i1 - 1, j1 - 1)
-        return self.tiles4[i0:i1, :, j0:j1, :].transpose(0, 2, 1, 3)
-
-    def run_view(self, run: TileRun) -> np.ndarray:
-        """The zero-copy stacked view of one :class:`TileRun`."""
-        if run.kind == "col":
-            return self.col_run_view(run.i0, run.i1, run.j0)
-        if run.kind == "row":
-            return self.row_run_view(run.i0, run.j0, run.j1)
-        return self.rect_run_view(run.i0, run.i1, run.j0, run.j1)
 
     def _check_key(self, i: int, j: int) -> None:
         require(self.array is not None, f"{self.name}: no storage in shadow mode")
@@ -658,7 +550,10 @@ class DeviceChecksums(DeviceBuffer):
 
     def strip_row(self, i: int, j0: int, j1: int) -> np.ndarray:
         """Strips of tiles (i, j0..j1-1) as one r × (j1-j0)·B view."""
-        return self.row_run_view(i, j0, j1)
+        self._check_key(i, j0)
+        self._check_key(i, j1 - 1)
+        b, r = self.block_size, self.rows_per_tile
+        return self.array[r * i : r * (i + 1), j0 * b : j1 * b]
 
     def strip_panel(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
         """Strips of the tile rectangle stacked as one 2-D view.

@@ -26,7 +26,6 @@ from repro.faults.taint import TaintState
 from repro.hetero.context import ExecutionContext
 from repro.hetero.memory import DeviceMatrix
 from repro.hetero.stream import Stream
-from repro.util.validation import require
 
 
 def syrk_op(
@@ -201,9 +200,3 @@ def trsm_op(
             out.merge(propagated)
     return task
 
-
-def check_inputs(matrix: DeviceMatrix, block_size: int | None = None) -> None:
-    """Shared driver precondition checks."""
-    require(matrix.nb >= 1, "matrix must have at least one tile")
-    if block_size is not None:
-        require(matrix.block_size == block_size, "block size mismatch")

@@ -61,17 +61,6 @@ def updating_relative(n: int, b: int) -> float:
 # 3) Checksum recalculation (Tables IV and V)
 # ---------------------------------------------------------------------------
 
-def online_recalc_flops_by_op(n: int, b: int) -> dict[str, float]:
-    """Table IV (post-update recalculation)."""
-    _validate(n, b)
-    return {
-        "POTF2": 4.0 * b * n,
-        "TRSM": 2.0 * n * n,
-        "SYRK": 4.0 * b * n,
-        "GEMM": 2.0 * n * n,
-    }
-
-
 def online_recalc_relative(n: int, b: int) -> float:
     """``12/n`` (POTF2 and SYRK terms ignored)."""
     _validate(n, b)

@@ -8,13 +8,7 @@ point is :func:`repro.runtime.scheme.dag_potrf` — registered with the
 service as scheme ``"dag"``.
 """
 
-from repro.runtime.cholesky import (
-    HostStrips,
-    HostTiles,
-    build_cholesky_graph,
-    merge_stats,
-    plan_anchor,
-)
+from repro.runtime.cholesky import build_cholesky_graph, merge_stats, plan_anchor
 from repro.runtime.dag import TaskGraph
 from repro.runtime.executor import DagExecutor, inject_task_delays
 from repro.runtime.scheme import DagPotrfResult, dag_potrf
@@ -24,8 +18,6 @@ __all__ = [
     "Cell",
     "DagExecutor",
     "DagPotrfResult",
-    "HostStrips",
-    "HostTiles",
     "TASK_KINDS",
     "TaskGraph",
     "TileTask",

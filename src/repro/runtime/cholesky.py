@@ -30,84 +30,22 @@ mutation.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 
 import numpy as np
 
 from repro.blas import dense
 from repro.blas.dense import trsm_right_lt
-from repro.core.correct import VerifyStats, check_tile_strip
+from repro.core.batchverify import encode
+from repro.core.correct import VerifyStats, check_tiles
 from repro.core.multierror import MultiErrorCodec
 from repro.faults.injector import FaultInjector, FaultPlan, Hook
-from repro.faults.taint import TaintState
+from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.runtime.dag import TaskGraph
 from repro.runtime.task import Cell
 from repro.util.validation import require
 
 Key = tuple[int, int]
-
-
-class HostTiles:
-    """An (n, n) host array addressed by B×B tile, injector-bindable.
-
-    Exposes the same ``array`` / ``tile_view`` / ``taint_of`` surface as
-    :class:`repro.hetero.memory.DeviceBuffer`, so a
-    :class:`~repro.faults.injector.FaultInjector` binds to it unchanged.
-    """
-
-    def __init__(self, data: np.ndarray, block_size: int) -> None:
-        self.data = data
-        self.block_size = block_size
-        self.nb = data.shape[0] // block_size
-        self._taint: dict[Key, TaintState] = {}
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.data
-
-    def tile(self, key: Key) -> np.ndarray:
-        i, j = key
-        b = self.block_size
-        return self.data[i * b : (i + 1) * b, j * b : (j + 1) * b]
-
-    def tile_view(self, key: Key) -> np.ndarray:
-        return self.tile(key)
-
-    def taint_of(self, key: Key) -> TaintState:
-        state = self._taint.get(key)
-        if state is None:
-            state = self._taint[key] = TaintState()
-        return state
-
-
-class HostStrips:
-    """Checksum strips: ``r`` rows per tile row, one (nb·r, n) host array."""
-
-    def __init__(self, nb: int, block_size: int, rows_per_tile: int = 2) -> None:
-        self.block_size = block_size
-        self.nb = nb
-        self.rows_per_tile = rows_per_tile
-        self.data = np.zeros((nb * rows_per_tile, nb * block_size))
-        self._taint: dict[Key, TaintState] = {}
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.data
-
-    def strip(self, key: Key) -> np.ndarray:
-        i, j = key
-        r, b = self.rows_per_tile, self.block_size
-        return self.data[i * r : (i + 1) * r, j * b : (j + 1) * b]
-
-    def tile_view(self, key: Key) -> np.ndarray:
-        return self.strip(key)
-
-    def taint_of(self, key: Key) -> TaintState:
-        state = self._taint.get(key)
-        if state is None:
-            state = self._taint[key] = TaintState()
-        return state
 
 
 # Plan anchoring ---------------------------------------------------------------
@@ -204,55 +142,59 @@ def anchored_plans(injector: FaultInjector, nb: int) -> dict[Anchor, list[FaultP
 
 
 def _potf2_body(
-    tiles: HostTiles, strips: HostStrips, j: int, inj: FaultInjector, fires: list[FaultPlan]
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
+    j: int,
+    inj: FaultInjector,
+    fires: list[FaultPlan],
 ) -> Callable[[], None]:
     def _body_potf2() -> None:
-        diag = tiles.tile((j, j))
+        diag = matrix.block(j, j)
         dense.potf2(diag, block_index=j)
         inj.fire_plans(fires, j)
-        trsm_right_lt(strips.strip((j, j)), diag)
+        trsm_right_lt(chk.strip(j, j), diag)
 
     return _body_potf2
 
 
 def _trsm_body(
-    tiles: HostTiles,
-    strips: HostStrips,
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
     i: int,
     j: int,
     inj: FaultInjector,
     fires: list[FaultPlan],
 ) -> Callable[[], None]:
     def _body_trsm() -> None:
-        diag = tiles.tile((j, j))
-        trsm_right_lt(tiles.tile((i, j)), diag)
+        diag = matrix.block(j, j)
+        trsm_right_lt(matrix.block(i, j), diag)
         inj.fire_plans(fires, j)
-        trsm_right_lt(strips.strip((i, j)), diag)
+        trsm_right_lt(chk.strip(i, j), diag)
 
     return _body_trsm
 
 
 def _syrk_body(
-    tiles: HostTiles,
-    strips: HostStrips,
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
     k: int,
     j: int,
     inj: FaultInjector,
     fires: list[FaultPlan],
 ) -> Callable[[], None]:
     def _body_syrk() -> None:
-        lkj = tiles.tile((k, j))
-        dense.syrk_update(tiles.tile((k, k)), lkj)
+        lkj = matrix.block(k, j)
+        dense.syrk_update(matrix.block(k, k), lkj)
         inj.fire_plans(fires, j)
-        s = strips.strip((k, k))
-        s -= strips.strip((k, j)) @ lkj.T
+        s = chk.strip(k, k)
+        s -= chk.strip(k, j) @ lkj.T
 
     return _body_syrk
 
 
 def _gemm_body(
-    tiles: HostTiles,
-    strips: HostStrips,
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
     i: int,
     k: int,
     j: int,
@@ -260,18 +202,18 @@ def _gemm_body(
     fires: list[FaultPlan],
 ) -> Callable[[], None]:
     def _body_gemm() -> None:
-        lkj = tiles.tile((k, j))
-        dense.gemm_update(tiles.tile((i, k)), tiles.tile((i, j)), lkj)
+        lkj = matrix.block(k, j)
+        dense.gemm_update(matrix.block(i, k), matrix.block(i, j), lkj)
         inj.fire_plans(fires, j)
-        s = strips.strip((i, k))
-        s -= strips.strip((i, j)) @ lkj.T
+        s = chk.strip(i, k)
+        s -= chk.strip(i, j) @ lkj.T
 
     return _body_gemm
 
 
 def _verify_body(
-    tiles: HostTiles,
-    strips: HostStrips,
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
     keys: list[Key],
     weights: np.ndarray,
     rtol: float,
@@ -282,19 +224,9 @@ def _verify_body(
     def _body_verify() -> None:
         stats.batches += 1
         stats.tiles_verified += len(keys)
-        t0 = time.perf_counter()
-        for key in keys:
-            check_tile_strip(
-                key,
-                tiles.tile(key),
-                strips.strip(key),
-                weights,
-                rtol=rtol,
-                atol=atol,
-                stats=stats,
-                codec=codec,
-            )
-        stats.check_wall_s += time.perf_counter() - t0
+        check_tiles(
+            matrix, chk, keys, weights, rtol=rtol, atol=atol, stats=stats, codec=codec
+        )
 
     return _body_verify
 
@@ -308,20 +240,14 @@ def _window_body(
     return _body_window
 
 
-def _encode_body(
-    tiles: HostTiles, strips: HostStrips, weights: np.ndarray
-) -> Callable[[], None]:
-    def _body_encode() -> None:
-        for j in range(tiles.nb):
-            for i in range(j, tiles.nb):
-                strips.strip((i, j))[:] = weights @ tiles.tile((i, j))
-
-    return _body_encode
-
-
-def encode_strips(tiles: HostTiles, strips: HostStrips, weights: np.ndarray) -> None:
+def encode_strips(matrix: DeviceMatrix, chk: DeviceChecksums, weights: np.ndarray) -> None:
     """Initial lower-triangle encoding (eager, before the graph runs)."""
-    _encode_body(tiles, strips, weights)()
+    encode(matrix, chk, _lower(matrix.nb), weights)
+
+
+def _lower(nb: int) -> list[Key]:
+    """The lower-triangle keys, column by column."""
+    return [(i, j) for j in range(nb) for i in range(j, nb)]
 
 
 # Graph construction -----------------------------------------------------------
@@ -338,8 +264,8 @@ def _rw(keys: list[Key]) -> frozenset[Cell]:
 
 
 def build_cholesky_graph(
-    tiles: HostTiles,
-    strips: HostStrips,
+    matrix: DeviceMatrix,
+    chk: DeviceChecksums,
     weights: np.ndarray,
     injector: FaultInjector,
     *,
@@ -356,7 +282,7 @@ def build_cholesky_graph(
     ``corrected_sites`` list in particular) are bit-identical whichever
     worker finished which verify first.
     """
-    nb = tiles.nb
+    nb = matrix.nb
     require(nb >= 1, "need at least one tile")
     graph = TaskGraph()
     anchors = anchored_plans(injector, nb)
@@ -372,7 +298,7 @@ def build_cholesky_graph(
             anchor_tile,
             reads=footprint,
             writes=footprint,
-            fn=_verify_body(tiles, strips, keys, weights, rtol, atol, slot, codec),
+            fn=_verify_body(matrix, chk, keys, weights, rtol, atol, slot, codec),
         )
 
     def _fires_for(kind: str, iteration: int, tile: Key) -> list[FaultPlan]:
@@ -391,7 +317,7 @@ def build_cholesky_graph(
             (j, j),
             reads=_rw(diag),
             writes=_rw(diag) | {_victim_cell(p) for p in fires},
-            fn=_potf2_body(tiles, strips, j, injector, fires),
+            fn=_potf2_body(matrix, chk, j, injector, fires),
         )
         # 3. verify the freshly factored diagonal before the panel uses it.
         _add_verify(j, (j, j), diag)
@@ -407,7 +333,7 @@ def build_cholesky_graph(
                     (i, j),
                     reads=_rw([(j, j), (i, j)]),
                     writes=_rw([(i, j)]) | {_victim_cell(p) for p in fires},
-                    fn=_trsm_body(tiles, strips, i, j, injector, fires),
+                    fn=_trsm_body(matrix, chk, i, j, injector, fires),
                 )
             # 6. verify the panel of L before the trailing update reads it.
             _add_verify(j, (j + 1, j), panel)
@@ -420,7 +346,7 @@ def build_cholesky_graph(
                 (k, k),
                 reads=_rw([(k, j), (k, k)]),
                 writes=_rw([(k, k)]) | {_victim_cell(p) for p in fires},
-                fn=_syrk_body(tiles, strips, k, j, injector, fires),
+                fn=_syrk_body(matrix, chk, k, j, injector, fires),
             )
             for i in range(k + 1, nb):
                 fires = _fires_for("gemm", j, (i, k))
@@ -430,7 +356,7 @@ def build_cholesky_graph(
                     (i, k),
                     reads=_rw([(i, j), (k, j), (i, k)]),
                     writes=_rw([(i, k)]) | {_victim_cell(p) for p in fires},
-                    fn=_gemm_body(tiles, strips, i, k, j, injector, fires),
+                    fn=_gemm_body(matrix, chk, i, k, j, injector, fires),
                 )
         # 8. the storage-error window at the end of the iteration.
         fires = _fires_for("storage_window", j, (j, j))
@@ -445,8 +371,7 @@ def build_cholesky_graph(
                 fn=_window_body(j, injector, fires),
             )
     if final_sweep:
-        lower = [(i, j) for j in range(nb) for i in range(j, nb)]
-        _add_verify(nb, (nb - 1, nb - 1), lower)
+        _add_verify(nb, (nb - 1, nb - 1), _lower(nb))
     graph.check_program_order()
     return graph, stats_slots
 
@@ -461,5 +386,4 @@ def merge_stats(slots: list[VerifyStats]) -> VerifyStats:
         total.checksum_corrections += slot.checksum_corrections
         total.columns_flagged += slot.columns_flagged
         total.corrected_sites.extend(slot.corrected_sites)
-        total.check_wall_s += slot.check_wall_s
     return total

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.blas.blocked import BlockedMatrix
 from repro.blas.flops import potrf_flops
 from repro.core.config import AbftConfig
 from repro.core.correct import VerifyStats
@@ -35,13 +36,8 @@ from repro.desim.trace import (
 )
 from repro.faults.injector import FaultInjector, Hook, no_faults
 from repro.hetero.machine import Machine
-from repro.runtime.cholesky import (
-    HostStrips,
-    HostTiles,
-    build_cholesky_graph,
-    encode_strips,
-    merge_stats,
-)
+from repro.hetero.memory import DeviceChecksums, DeviceMatrix
+from repro.runtime.cholesky import build_cholesky_graph, encode_strips, merge_stats
 from repro.runtime.dag import TaskGraph
 from repro.runtime.executor import DagExecutor
 from repro.util.exceptions import (
@@ -143,16 +139,16 @@ def dag_potrf(
     restarts = 0
     for _attempt in range(cfg.max_restarts + 1):
         work = pristine.copy()
-        tiles = HostTiles(work, bs)
-        strips = HostStrips(tiles.nb, bs, rows_per_tile=cfg.n_checksums)
-        inj.bind("matrix", tiles)
-        inj.bind("checksum", strips)
+        matrix = DeviceMatrix("A", n, bs, BlockedMatrix(work, bs))
+        chk = DeviceChecksums.zeros("chk", n, bs, real=True, rows_per_tile=cfg.n_checksums)
+        inj.bind("matrix", matrix)
+        inj.bind("checksum", chk)
         t_start = time.perf_counter()
-        encode_strips(tiles, strips, weights)
+        encode_strips(matrix, chk, weights)
         inj.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)
         graph, slots = build_cholesky_graph(
-            tiles,
-            strips,
+            matrix,
+            chk,
             weights,
             inj,
             rtol=cfg.rtol,

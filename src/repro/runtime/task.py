@@ -15,7 +15,7 @@ matrix tile (i, j), ``("C", i, j)`` its checksum strip.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 #: One addressable unit of state: ("A" | "C", block row, block col).
@@ -23,21 +23,6 @@ Cell = tuple[str, int, int]
 
 #: Task kinds the runtime executes (metric label values, span kinds).
 TASK_KINDS = ("potf2", "trsm", "syrk", "gemm", "verify", "storage_window")
-
-
-def cells(space: str, keys: Iterable[tuple[int, int]]) -> frozenset[Cell]:
-    """The cell set ``{(space, i, j) for (i, j) in keys}``."""
-    return frozenset((space, i, j) for i, j in keys)
-
-
-def tile_cells(*keys: tuple[int, int]) -> frozenset[Cell]:
-    """Matrix-tile cells for *keys*."""
-    return cells("A", keys)
-
-
-def chk_cells(*keys: tuple[int, int]) -> frozenset[Cell]:
-    """Checksum-strip cells for *keys*."""
-    return cells("C", keys)
 
 
 @dataclass

@@ -5,7 +5,8 @@ import pytest
 
 from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
-from repro.core import enhanced_potrf
+from repro.core import AbftConfig, enhanced_potrf
+from repro.core.batchverify import detect
 from repro.core.checksum import encode_blocked_host
 from repro.core.correct import Verifier
 from repro.faults.bitflip import flip_bit
@@ -170,14 +171,17 @@ class TestNonFiniteTolerance:
         assert err.value.block == (2, 1)
         assert v.stats.checksum_corrections == v.stats.data_corrections == 0
 
-    # Every comparison against these reads false, so only the finiteness flag sees them.
+    # An infinite tolerance passes every comparison, so only the finiteness
+    # flag sees these; B = 192 runs the detector's in-place branch.
+    @pytest.mark.parametrize("b", [8, 192], ids=["gathered", "in_place"])
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
-    def test_engine_flags_exactly_the_non_finite_tile(self, tardis, value):
-        v, _ = make_verified_setup(tardis)
+    def test_detect_flags_exactly_the_non_finite_tile(self, tardis, value, b):
+        v, _ = make_verified_setup(tardis, n=4 * b, b=b)
         v.matrix.tile_view((2, 1))[7, 0] = value
         keys = [(i, j) for j in range(4) for i in range(j, 4)]
         with np.errstate(invalid="ignore"):
-            assert v.engine.detect(keys) == [(2, 1)]
+            flagged = detect(v.matrix, v.chk, keys, v.weights, rtol=v.rtol, atol=v.atol)
+        assert flagged == [(2, 1)]
 
     @pytest.mark.parametrize(
         "potrf,block,coord",
@@ -192,6 +196,53 @@ class TestNonFiniteTolerance:
         assert len(injector.fired) == 1
         assert res.restarts >= 1
         assert factorization_residual(a, res.factor) <= 1e-8
+
+
+class TestNanChecksum:
+    """A NaN checksum element passes every ``|δ| > tol`` test, so it must be
+    flagged as ``not |δ| <= tol`` or its column goes unguarded."""
+
+    @pytest.mark.parametrize("checksum_row", [0, 1])
+    def test_nan_strip_element_is_refreshed_and_keeps_guarding_its_column(
+        self, tardis, checksum_row
+    ):
+        v, a = make_verified_setup(tardis, n=256, b=32)
+        pristine, encoded = a.copy(), v.chk.array.copy()
+        # Bit 62 turns a strip element in [1, 2) into NaN.
+        in_range = (encoded >= 1) & (encoded < 2)
+        in_range[1 - checksum_row :: 2] = False
+        row, col = (int(x) for x in np.argwhere(in_range)[0])
+        flip_bit(v.chk.array, (row, col), 62)
+        assert np.isnan(v.chk.array[row, col])
+        with np.errstate(invalid="ignore"):  # a signaling NaN
+            v.verify_batch(v.lower_keys(), "t")
+        assert v.stats.checksum_corrections == 1
+        np.testing.assert_array_equal(v.chk.array, encoded)
+        # A later error in the same tile column is repaired in the data.
+        v.matrix.tile_view((row // 2, col // 32))[5, col % 32] += 1000.0
+        v.verify_batch(v.lower_keys(), "t")
+        assert (v.stats.data_corrections, v.stats.checksum_corrections) == (1, 1)
+        np.testing.assert_allclose(a, pristine, atol=1e-9)
+
+    def test_nan_strip_element_restarts_the_multi_error_code(self, tardis):
+        ctx = tardis.context(numerics="real")
+        a = random_spd(32, rng=0)
+        matrix = ctx.alloc_matrix(32, 8, data=a)
+        chk = ctx.alloc_checksums(32, 8, rows_per_tile=3)
+        chk.array[:] = encode_blocked_host(BlockedMatrix(a, 8), n_checksums=3)
+        v = Verifier(ctx, matrix, chk)
+        chk.strip(2, 1)[2, 3] = np.nan
+        with pytest.raises(UnrecoverableError, match="syndrome is not finite") as err:
+            v.verify_batch(v.lower_keys(), "t")
+        assert err.value.block == (2, 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_locator_restarts(self, tardis, value):
+        v, _ = make_verified_setup(tardis)
+        v.chk.strip(2, 1)[:, 3] = value
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(UnrecoverableError, match="locator nan is not finite"):
+                v.verify_batch([(2, 1)], "t")
 
 
 class TestTaskIssuance:
@@ -236,6 +287,18 @@ class TestTaskIssuance:
         transfers = [t for t in ctx.graph if t.kind == "h2d"]
         assert len(transfers) == 1
         assert transfers[0].meta["bytes"] == 2 * 256 * 8 * 2
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_cpu_placement_stages_every_checksum_row(self, tardis, r):
+        res = enhanced_potrf(
+            tardis,
+            n=4096,
+            block_size=512,
+            config=AbftConfig(updating_placement="cpu", n_checksums=r),
+            numerics="shadow",
+        )
+        staged = res.timeline.filter(lambda s: s.name.startswith("strips_h2d["))
+        assert sum(s.meta["bytes"] for s in staged) == r * 512 * 8 * res.stats.tiles_verified
 
 
 class TestShadowVerification:

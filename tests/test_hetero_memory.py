@@ -1,5 +1,8 @@
 """Unit tests for device buffers (real and shadow storage, taint maps)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from repro.hetero.memory import (
     ShmDescriptor,
     attach_shared_array,
     create_shared_array,
-    plan_tile_runs,
 )
 from repro.util.exceptions import ValidationError
 
@@ -46,6 +48,17 @@ class TestDeviceMatrix:
         m.taint_of((1, 1)).add_point(2, 3)
         assert m.any_taint()
         assert m.tainted_keys() == [(1, 1)]
+
+    def test_bound_taint_does_not_keep_the_buffer_alive(self):
+        m = make_matrix()
+        m.taint_of((1, 0)).add_point(0, 0)
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert ref() is None  # freed by reference counting: no cycle
+        finally:
+            gc.enable()
 
     def test_rejects_mismatched_blocked(self):
         blocked = BlockedMatrix(np.zeros((8, 8)), 2)
@@ -96,46 +109,6 @@ class TestDeviceChecksums:
         c = DeviceChecksums.zeros("chk", n, b, real=False)
         m = make_matrix(real=False, n=n, b=b)
         assert c.nbytes / m.nbytes == pytest.approx(2.0 / b)
-
-
-class TestPlanTileRunsDegenerate:
-    """Geometry edge cases: nb=1, singletons, and trailing partial runs."""
-
-    def test_empty_key_list(self):
-        assert plan_tile_runs([]) == []
-
-    def test_single_tile_grid(self):
-        # nb=1: the whole lower triangle is one key.
-        [run] = plan_tile_runs([(0, 0)])
-        assert (run.kind, len(run)) == ("col", 1)
-        assert run.keys() == [(0, 0)]
-
-    def test_isolated_singletons_stay_length_one_runs(self):
-        keys = [(0, 0), (2, 1), (4, 3)]
-        runs = plan_tile_runs(keys)
-        assert [len(r) for r in runs] == [1, 1, 1]
-        assert [k for r in runs for k in r.keys()] == keys
-
-    def test_trailing_partial_row_after_rectangle(self):
-        # Two full rows coalesce into a rect; the short trailing row must
-        # stay its own run, not be folded into the rectangle.
-        keys = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-        runs = plan_tile_runs(keys)
-        assert [r.kind for r in runs] == ["rect", "col"]
-        assert [k for r in runs for k in r.keys()] == keys
-
-    def test_trailing_partial_column(self):
-        keys = [(0, 0), (1, 0), (2, 0), (5, 3)]
-        runs = plan_tile_runs(keys)
-        assert [r.kind for r in runs] == ["col", "col"]
-        assert [len(r) for r in runs] == [3, 1]
-        assert [k for r in runs for k in r.keys()] == keys
-
-    @pytest.mark.parametrize("nb", [1, 2, 3, 5])
-    def test_lower_triangle_order_is_always_reproduced(self, nb):
-        keys = [(i, j) for i in range(nb) for j in range(i + 1)]
-        runs = plan_tile_runs(keys)
-        assert [k for r in runs for k in r.keys()] == keys
 
 
 class TestShmTransport:

@@ -17,8 +17,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
 from repro.core import AbftConfig, enhanced_potrf
+from repro.core.multierror import vandermonde_weights
 from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
@@ -27,9 +29,8 @@ from repro.faults.injector import (
     single_computing_fault,
     single_storage_fault,
 )
+from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.runtime import (
-    HostStrips,
-    HostTiles,
     TaskGraph,
     build_cholesky_graph,
     dag_potrf,
@@ -91,14 +92,12 @@ class TestTaskGraph:
 class TestCholeskyGraphShape:
     @pytest.fixture
     def graph(self, a0):
-        tiles = HostTiles(a0.copy(), BS)
-        strips = HostStrips(NB, BS)
-        from repro.core.multierror import vandermonde_weights
-
+        matrix = DeviceMatrix("A", N, BS, BlockedMatrix(a0.copy(), BS))
+        chk = DeviceChecksums.zeros("chk", N, BS, real=True)
         weights = vandermonde_weights(BS, 2)
-        encode_strips(tiles, strips, weights)
+        encode_strips(matrix, chk, weights)
         g, slots = build_cholesky_graph(
-            tiles, strips, weights, no_faults(), rtol=1e-9, atol=1e-11
+            matrix, chk, weights, no_faults(), rtol=1e-9, atol=1e-11
         )
         return g
 
