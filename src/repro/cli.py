@@ -46,7 +46,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.blas.spd import random_spd
-from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
+from repro.core import SCHEMES, AbftConfig
 from repro.experiments import capability
 from repro.experiments.common import overhead_sweep, sweep_for
 from repro.faults.injector import no_faults, single_computing_fault, single_storage_fault
@@ -55,12 +55,6 @@ from repro.hetero.spec import PRESETS
 from repro.magma.host import factorization_residual
 from repro.util.exceptions import ValidationError
 from repro.util.formatting import render_series, render_table
-
-_SCHEMES = {
-    "offline": offline_potrf,
-    "online": online_potrf,
-    "enhanced": enhanced_potrf,
-}
 
 
 def _parse_injection(text: str | None):
@@ -116,7 +110,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     machine = Machine.preset(args.machine)
-    potrf = _SCHEMES[args.scheme]
+    potrf = SCHEMES[args.scheme]
     config = AbftConfig(
         verify_interval=args.k,
         recalc_streams=args.streams,
@@ -212,7 +206,7 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     else:
         scheme = args.scheme or "enhanced"
         machine = Machine.preset(args.machine)
-        res = _SCHEMES[scheme](
+        res = SCHEMES[scheme](
             machine,
             n=args.n,
             block_size=args.block_size,
@@ -635,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="run one fault-tolerant factorization")
     _add_common(p)
     p.add_argument("--n", type=int, default=2048)
-    p.add_argument("--scheme", default="enhanced", choices=sorted(_SCHEMES))
+    p.add_argument("--scheme", default="enhanced", choices=sorted(SCHEMES))
     p.add_argument("--k", type=int, default=1, help="verification interval K")
     p.add_argument("--streams", type=int, default=None, help="recalc streams")
     p.add_argument(
@@ -663,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument(
         "--schemes", nargs="+", default=["offline", "online", "enhanced"],
-        choices=sorted(_SCHEMES),
+        choices=sorted(SCHEMES),
     )
     p.add_argument("--sizes", nargs="*", type=int, default=None)
     p.set_defaults(fn=cmd_overhead)
@@ -690,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", nargs="?", default=None,
         help="dumped trace JSON (omit to shadow-run --scheme in-process)",
     )
-    p.add_argument("--scheme", default=None, choices=sorted(_SCHEMES))
+    p.add_argument("--scheme", default=None, choices=sorted(SCHEMES))
     p.add_argument("--n", type=int, default=2048)
     p.add_argument("--k", type=int, default=1, help="verification interval K")
     p.add_argument("--dump", default=None, help="also dump the generated trace here")
@@ -707,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--job-timeout", type=float, default=120.0, help="per-attempt seconds")
         p.add_argument("--max-retries", type=int, default=2)
         p.add_argument(
-            "--scheme", default="enhanced", choices=sorted([*_SCHEMES, "dag"])
+            "--scheme", default="enhanced", choices=sorted([*SCHEMES, "dag"])
         )
         p.add_argument("--block-size", type=int, default=32)
         p.add_argument("--sizes", nargs="+", type=int, default=[64, 96, 128])
@@ -767,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="verification hot-path benchmark")
     _add_common(p)
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--scheme", default="enhanced", choices=sorted(_SCHEMES))
+    p.add_argument("--scheme", default="enhanced", choices=sorted(SCHEMES))
     p.add_argument("--repeats", type=int, default=3, help="best-of repetitions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

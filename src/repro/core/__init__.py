@@ -18,25 +18,25 @@ Layout:
   model of Section V-B.
 - :mod:`repro.core.config` / :mod:`repro.core.base` — scheme configuration
   and the shared runtime (encode phase, recovery/restart loop, statistics).
-- :mod:`repro.core.offline` / :mod:`repro.core.online` /
-  :mod:`repro.core.enhanced` — the three scheme drivers.
+- :mod:`repro.core.schemes` — one left-looking loop for the three schemes
+  (Offline, Online, Enhanced), a table row each for where it verifies, and
+  the ``SCHEMES`` name → entry-point registry.
 """
 
 from repro.core.base import FtPotrfResult
 from repro.core.checksum import encode_blocked_host, encode_strip
 from repro.core.config import AbftConfig
 from repro.core.correct import Verifier, VerifyStats
-from repro.core.enhanced import enhanced_potrf
 from repro.core.multierror import MultiErrorCodec
-from repro.core.rowvariant import RowChecksumCodec
-from repro.core.offline import offline_potrf
-from repro.core.online import online_potrf
 from repro.core.placement import choose_updating_placement, paper_decision_model
 from repro.core.policy import VerificationPolicy
+from repro.core.rowvariant import RowChecksumCodec
+from repro.core.schemes import SCHEMES, enhanced_potrf, offline_potrf, online_potrf
 from repro.core.update import ChecksumUpdater
 from repro.core.weights import weight_matrix
 
 __all__ = [
+    "SCHEMES",
     "FtPotrfResult",
     "encode_blocked_host",
     "encode_strip",

@@ -1,4 +1,4 @@
-"""Shared runtime for the three ABFT scheme drivers.
+"""Shared runtime for the three ABFT schemes.
 
 :class:`SchemeRun` wires together one attempt: execution context, device
 buffers, fault injector bindings, verifier, updater, streams.
@@ -105,6 +105,7 @@ class SchemeRun:
 
     def __init__(
         self,
+        scheme: str,
         machine: Machine,
         n: int,
         block_size: int,
@@ -115,6 +116,7 @@ class SchemeRun:
         start_iteration: int = 0,
         progress=None,
     ) -> None:
+        self.scheme = scheme
         self.machine = machine
         self.config = config
         self.injector = injector
@@ -176,7 +178,7 @@ class SchemeRun:
     def publish(self, iteration: int) -> None:
         """Report iteration-boundary state to the progress sink, if any.
 
-        Called by the drivers after the storage window of iteration *j*
+        Called by the loop after the storage window of iteration *j*
         closes: columns 0..j of the matrix are final L, the rest still
         hold the original A, and the strips are maintained through j —
         exactly the state a forward-recovery resume needs.  Real mode
@@ -208,7 +210,7 @@ def run_with_recovery(
 
     *start_iteration* > 0 resumes a partially factored matrix: *a* must
     hold columns ``0..start_iteration-1`` already final (the state
-    :meth:`SchemeRun.publish` reports), and the drivers skip straight to
+    :meth:`SchemeRun.publish` reports), and the loop skips straight to
     that iteration.  An in-scheme restart re-runs from the same resume
     point — the salvaged state, not the original matrix, is this call's
     "pristine" input.  *progress* (real mode) receives
@@ -238,6 +240,7 @@ def run_with_recovery(
             # the final successful factor below.
             work = pristine.copy()
         run = SchemeRun(
+            scheme,
             machine,
             n,
             bs,

@@ -42,21 +42,12 @@ class AbftConfig:
     max_restarts:
         How many times an unrecoverable run may be re-executed before
         giving up.  One restart suffices for single-fault experiments.
-    final_sweep:
-        Verify the whole factor after the last iteration.  Offline-ABFT is
-        *defined* by this sweep; for Enhanced it closes the window between
-        each block's last update and the end of the run.
     dag_workers:
         Worker threads for the ``dag`` scheme's tile-task runtime
         (:mod:`repro.runtime`).  1 executes the graph serially in program
         order — the bit-identity reference; larger values overlap tile
         kernels on host threads (BLAS releases the GIL).  The other
         schemes ignore it.
-    lookahead:
-        How many iterations the ``dag`` runtime may run ahead of the
-        oldest incomplete one.  1 (default) lets panel ``j+1`` factor
-        while iteration ``j``'s trailing update drains — the paper's
-        Opt-3 overlap on real threads; 0 is bulk-synchronous.
     """
 
     verify_interval: int = DEFAULT_VERIFY_INTERVAL
@@ -66,14 +57,11 @@ class AbftConfig:
     atol: float = 1e-12
     n_checksums: int = 2
     max_restarts: int = 1
-    final_sweep: bool = True
     dag_workers: int = 1
-    lookahead: int = 1
 
     def __post_init__(self) -> None:
         check_positive("verify_interval", self.verify_interval)
         check_positive("dag_workers", self.dag_workers)
-        require(self.lookahead >= 0, "lookahead must be >= 0")
         require(self.n_checksums >= 2, "need at least two checksums per tile")
         if self.recalc_streams is not None:
             check_positive("recalc_streams", self.recalc_streams)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
+from repro.core import SCHEMES, AbftConfig
 from repro.hetero.machine import Machine
 from repro.util.exceptions import ValidationError
 from repro.util.validation import require
@@ -12,12 +12,6 @@ from repro.util.validation import require
 #: Matrix-size sweeps from Section VII-A ("from 5120×5120 to ...").
 TARDIS_SWEEP: tuple[int, ...] = tuple(range(5120, 23040 + 1, 2560))
 BULLDOZER_SWEEP: tuple[int, ...] = tuple(range(5120, 30720 + 1, 2560))
-
-SCHEMES = {
-    "offline": offline_potrf,
-    "online": online_potrf,
-    "enhanced": enhanced_potrf,
-}
 
 
 def sweep_for(machine_name: str) -> tuple[int, ...]:

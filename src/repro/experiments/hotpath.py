@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.blas.spd import random_spd
-from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
+from repro.core import SCHEMES, AbftConfig
 from repro.core.base import FtPotrfResult
 from repro.core.checksum import issue_encoding
 from repro.core.correct import Verifier, VerifyStats, check_tile_strip
@@ -41,6 +41,7 @@ from repro.experiments.stamp import run_stamp
 from repro.faults.injector import Hook, single_storage_fault
 from repro.hetero.machine import Machine
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
+from repro.runtime.executor import LOOKAHEAD
 from repro.runtime.scheme import DagPotrfResult, dag_potrf
 from repro.util.validation import require
 
@@ -51,12 +52,6 @@ from repro.util.validation import require
 #: the sweep alone compares the two paths.  :func:`read` still accepts
 #: older documents.
 SCHEMA_VERSION = 4
-
-_SCHEMES = {
-    "offline": offline_potrf,
-    "online": online_potrf,
-    "enhanced": enhanced_potrf,
-}
 
 #: Where the fault is planted (tile, iteration) — early enough that every
 #: scheme's verification sees and corrects it.
@@ -117,7 +112,7 @@ def _factor(
     )
     work = a.copy()
     t0 = time.perf_counter()
-    res = _SCHEMES[scheme](machine, a=work, block_size=block_size, injector=injector)
+    res = SCHEMES[scheme](machine, a=work, block_size=block_size, injector=injector)
     return res, time.perf_counter() - t0
 
 
@@ -294,7 +289,7 @@ def run(
         "bit_identical": identical,
         "dag": {
             "workers": workers,
-            "lookahead": 1,
+            "lookahead": LOOKAHEAD,
             "block_size": _DAG_BLOCK,
             "host_cores": os.cpu_count() or 1,
             "grid": grid,

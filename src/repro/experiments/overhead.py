@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import AbftConfig
+from repro.core import SCHEMES, AbftConfig
 from repro.experiments.common import overhead_sweep
 from repro.util.formatting import render_ascii_chart, render_series
-
-SCHEMES = ("offline", "online", "enhanced")
 
 CONFIG = AbftConfig(verify_interval=1, updating_placement="auto", recalc_streams=16)
 

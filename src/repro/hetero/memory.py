@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.blas.blocked import BlockedMatrix
 from repro.faults.taint import TaintState
+from repro.util.exceptions import ValidationError
 from repro.util.validation import check_block_size, check_positive, require
 
 _DOUBLE = 8
@@ -454,11 +455,12 @@ class DeviceBuffer:
         return self._t4
 
     def _check_key(self, i: int, j: int) -> None:
-        require(self.array is not None, f"{self.name}: no storage in shadow mode")
-        require(
-            0 <= i < self.nb and 0 <= j < self.nb,
-            f"tile ({i}, {j}) out of range for {self.nb}×{self.nb} grid",
-        )
+        # Plain checks, not ``require``: this runs on every tile access, and
+        # the messages are only worth formatting when a check fails.
+        if self.array is None:
+            raise ValidationError(f"{self.name}: no storage in shadow mode")
+        if not (0 <= i < self.nb and 0 <= j < self.nb):
+            raise ValidationError(f"tile ({i}, {j}) out of range for {self.nb}×{self.nb} grid")
 
 
 class DeviceMatrix(DeviceBuffer):

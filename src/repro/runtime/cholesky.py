@@ -13,6 +13,8 @@ One factorization becomes, per iteration ``j``:
 - an end-of-iteration ``storage_window`` task when fault plans target
   that window.
 
+After the last iteration one verify sweeps the whole finished factor.
+
 Dependencies are *derived* from the declared cell footprints
 (:mod:`repro.runtime.dag`), which is what makes lookahead legal for
 free: ``POTF2`` of panel ``j+1`` depends only on tile ``(j+1, j+1)``
@@ -271,7 +273,6 @@ def build_cholesky_graph(
     *,
     rtol: float,
     atol: float,
-    final_sweep: bool = True,
     codec: MultiErrorCodec | None = None,
 ) -> tuple[TaskGraph, list[VerifyStats]]:
     """The full task graph for one factorization attempt.
@@ -370,8 +371,7 @@ def build_cholesky_graph(
                 writes=victims,
                 fn=_window_body(j, injector, fires),
             )
-    if final_sweep:
-        _add_verify(nb, (nb - 1, nb - 1), _lower(nb))
+    _add_verify(nb, (nb - 1, nb - 1), _lower(nb))
     graph.check_program_order()
     return graph, stats_slots
 

@@ -8,12 +8,9 @@ Two paths share the same scheduler state:
   bit-for-bit against it.
 - ``workers > 1`` runs a small thread pool.  The BLAS kernels release
   the GIL, so per-tile POTF2/TRSM/SYRK/GEMM genuinely overlap.  Ready
-  tasks dispatch lowest-program-index-first, throttled by **lookahead**:
-  a task of iteration ``t`` may start only while
-  ``t − min_incomplete_iteration ≤ lookahead``.  With the default of 1,
-  panel ``j+1`` factors while iteration ``j``'s trailing update drains
-  (the paper's Opt-3 overlap); 0 degenerates to bulk-synchronous
-  iterations.
+  tasks dispatch lowest-program-index-first, throttled by a lookahead
+  of :data:`LOOKAHEAD` iterations: a task of iteration ``t`` may start
+  only while ``t − min_incomplete_iteration ≤ LOOKAHEAD``.
 
 Because the builder emits tasks iteration-by-iteration, program index
 order is iteration-monotone — the lowest-index ready task always has the
@@ -36,6 +33,11 @@ from contextlib import contextmanager
 from repro.runtime.dag import TaskGraph
 from repro.runtime.task import TileTask
 from repro.util.validation import check_positive, require
+
+#: How many iterations a task may run ahead of the oldest incomplete one.
+#: 1 lets panel ``j+1`` factor while iteration ``j``'s trailing update
+#: drains, the paper's Opt-3 overlap on real threads.
+LOOKAHEAD = 1
 
 # -- test hook -----------------------------------------------------------------
 # Module-level so chaos scenarios and property tests reach the executor
@@ -67,12 +69,10 @@ def inject_task_delays(delay_of: Callable[[TileTask], float]) -> Iterator[None]:
 class DagExecutor:
     """Run one task graph; :meth:`run` returns the runtime summary dict."""
 
-    def __init__(self, graph: TaskGraph, *, workers: int = 1, lookahead: int = 1) -> None:
+    def __init__(self, graph: TaskGraph, *, workers: int = 1) -> None:
         check_positive("workers", workers)
-        require(lookahead >= 0, f"lookahead must be >= 0, got {lookahead}")
         self.graph = graph
         self.workers = workers
-        self.lookahead = lookahead
         # scheduler state (guarded by _cond in the threaded path)
         self._deps = list(graph.n_deps)
         self._ready: list[int] = []
@@ -109,7 +109,7 @@ class DagExecutor:
         """Is the heap top within the lookahead window?  (Iteration-monotone
         program order means the top bounds every other ready task.)"""
         top = self.graph.tasks[self._ready[0]]
-        return top.iteration - self._min_iter <= self.lookahead
+        return top.iteration - self._min_iter <= LOOKAHEAD
 
     def _execute(self, task: TileTask, t0: float) -> None:
         delay_of = _task_delay_hook
@@ -137,7 +137,7 @@ class DagExecutor:
         """The run's metrics, plain data (pickles across process bounds)."""
         return {
             "workers": self.workers,
-            "lookahead": self.lookahead,
+            "lookahead": LOOKAHEAD,
             "tasks": len(self.graph),
             "task_total": dict(self._task_total),
             "task_seconds": {k: list(v) for k, v in self._task_seconds.items()},

@@ -115,9 +115,9 @@ def dag_potrf(
 ) -> DagPotrfResult:
     """Fault-tolerant Cholesky on the tile-DAG runtime (in place on *a*).
 
-    ``config.dag_workers`` / ``config.lookahead`` pick the schedule; the
-    factor, statistics and corrected sites are bit-identical for every
-    choice (see :mod:`repro.runtime.dag` for why).
+    ``config.dag_workers`` picks the schedule; the factor, statistics and
+    corrected sites are bit-identical for every choice (see
+    :mod:`repro.runtime.dag` for why).
     """
     require(numerics == "real", "the dag scheme runs real numerics only")
     require(a is not None, "real mode requires the matrix a")
@@ -153,10 +153,9 @@ def dag_potrf(
             inj,
             rtol=cfg.rtol,
             atol=cfg.atol,
-            final_sweep=cfg.final_sweep,
             codec=codec,
         )
-        executor = DagExecutor(graph, workers=cfg.dag_workers, lookahead=cfg.lookahead)
+        executor = DagExecutor(graph, workers=cfg.dag_workers)
         try:
             runtime = executor.run()
         except (UnrecoverableError, SingularBlockError):

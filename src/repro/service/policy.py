@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.baselines.checkpoint import checkpoint_potrf
 from repro.blas.spd import random_spd
-from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
+from repro.core import SCHEMES, AbftConfig
 from repro.core.correct import VerifyStats
 from repro.desim.trace import Timeline
 from repro.hetero.machine import Machine
@@ -38,12 +38,8 @@ from repro.service.job import Job
 from repro.util.rng import derive_rng
 from repro.util.validation import check_positive, require
 
-_SCHEMES = {
-    "offline": offline_potrf,
-    "online": online_potrf,
-    "enhanced": enhanced_potrf,
-    "dag": dag_potrf,
-}
+#: The core registry plus the tile-DAG engine.
+_SCHEMES = {**SCHEMES, "dag": dag_potrf}
 
 #: Schemes whose serial drivers support iteration-boundary snapshot /
 #: resume (``start_iteration``/``progress`` on their ``*_potrf``).  The

@@ -27,17 +27,11 @@ import numpy as np
 import scipy.linalg
 
 from repro.blas.flops import trsm_flops
-from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
+from repro.core import SCHEMES, AbftConfig
 from repro.core.base import FtPotrfResult
 from repro.faults.injector import FaultInjector
 from repro.hetero.machine import Machine
 from repro.util.validation import check_square, require
-
-_SCHEMES = {
-    "offline": offline_potrf,
-    "online": online_potrf,
-    "enhanced": enhanced_potrf,
-}
 
 
 @dataclass
@@ -83,11 +77,11 @@ def ft_solve(
     n = check_square("a", a)
     rhs = np.atleast_2d(b.T).T  # (n,) -> (n, 1) without copying (n, k)
     require(rhs.shape[0] == n, f"b has {rhs.shape[0]} rows, A is {n}x{n}")
-    require(scheme in _SCHEMES, f"unknown scheme {scheme!r}; have {sorted(_SCHEMES)}")
+    require(scheme in SCHEMES, f"unknown scheme {scheme!r}; have {sorted(SCHEMES)}")
     require(refine_steps >= 0, "refine_steps must be >= 0")
 
     work = a.copy()
-    fact = _SCHEMES[scheme](
+    fact = SCHEMES[scheme](
         machine,
         a=work,
         block_size=block_size,

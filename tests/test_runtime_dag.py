@@ -3,8 +3,8 @@ deterministic fault anchoring, the worker pool, and the service wiring.
 
 The runtime's contract is the strongest one in the repo: for a given
 matrix and fault plan, the factor bytes, verifier statistics and
-corrected-site list are identical for *every* worker count and
-lookahead — the schedule may only move wall-clock time around.  These
+corrected-site list are identical for *every* worker count — the
+schedule may only move wall-clock time around.  These
 tests pin that contract on small deterministic cases; the adversarial
 schedules live in ``test_runtime_properties.py``.
 """
@@ -38,6 +38,7 @@ from repro.runtime import (
     plan_anchor,
 )
 from repro.runtime.cholesky import encode_strips
+from repro.runtime.executor import LOOKAHEAD
 from repro.service import Job, JobStatus, LoadGenConfig, ServiceConfig, SolveService, run_load
 from repro.service.scheduler import Scheduler, Worker
 from repro.util.exceptions import RestartExhaustedError, ValidationError
@@ -53,13 +54,13 @@ def a0() -> np.ndarray:
     return random_spd(N, rng=3)
 
 
-def factor_with(tardis, a0, workers, injector=None, lookahead=1):
+def factor_with(tardis, a0, workers, injector=None):
     a = a0.copy()
     res = dag_potrf(
         tardis,
         a=a,
         block_size=BS,
-        config=AbftConfig(dag_workers=workers, lookahead=lookahead),
+        config=AbftConfig(dag_workers=workers),
         injector=injector,
     )
     return res
@@ -148,18 +149,11 @@ class TestLookahead:
         res = factor_with(tardis, a0, workers=1)
         assert res.runtime["max_lookahead_depth"] == 0
 
-    def test_lookahead_zero_is_bulk_synchronous(self, tardis, a0):
-        res = factor_with(tardis, a0, workers=4, lookahead=0)
-        assert res.runtime["max_lookahead_depth"] == 0
+    def test_depth_never_exceeds_lookahead(self, tardis, a0):
+        res = factor_with(tardis, a0, workers=4)
+        assert res.runtime["max_lookahead_depth"] <= LOOKAHEAD
 
-    @pytest.mark.parametrize("lookahead", [1, 2])
-    def test_depth_never_exceeds_lookahead(self, tardis, a0, lookahead):
-        res = factor_with(tardis, a0, workers=4, lookahead=lookahead)
-        assert res.runtime["max_lookahead_depth"] <= lookahead
-
-    def test_bad_lookahead_rejected(self):
-        with pytest.raises(ValidationError):
-            AbftConfig(lookahead=-1)
+    def test_bad_dag_workers_rejected(self):
         with pytest.raises(ValidationError):
             AbftConfig(dag_workers=0)
 
@@ -324,7 +318,7 @@ class TestRuntimeSummary:
     def test_summary_counts_every_task(self, tardis, a0):
         res = factor_with(tardis, a0, workers=2)
         rt = res.runtime
-        assert rt["workers"] == 2 and rt["lookahead"] == 1
+        assert rt["workers"] == 2 and rt["lookahead"] == LOOKAHEAD
         assert sum(rt["task_total"].values()) == rt["tasks"] == len(res.timeline)
         for kind, count in rt["task_total"].items():
             assert len(rt["task_seconds"][kind]) == count

@@ -1,6 +1,6 @@
 """Property tests: the DAG runtime schedule never changes a bit.
 
-Hypothesis drives worker counts, lookahead depths, fault plans and
+Hypothesis drives worker counts, fault plans and
 adversarial per-task delays; for every draw the threaded run must leave
 the same factor bytes, verifier statistics, corrected sites and restart
 count as the serial (program-order) reference under the identical fault
@@ -51,13 +51,13 @@ def fault_plans(draw):
     return plans
 
 
-def _factor(plans, workers, lookahead, max_restarts=3):
+def _factor(plans, workers, max_restarts=3):
     a = _A0.copy()
     res = dag_potrf(
         Machine.preset("tardis"),
         a=a,
         block_size=BS,
-        config=AbftConfig(dag_workers=workers, lookahead=lookahead, max_restarts=max_restarts),
+        config=AbftConfig(dag_workers=workers, max_restarts=max_restarts),
         injector=FaultInjector([FaultPlan(**_plan_kwargs(p)) for p in plans]),
     )
     return res
@@ -80,18 +80,17 @@ def _plan_kwargs(p: FaultPlan) -> dict:
 @given(
     plans=fault_plans(),
     workers=st.integers(2, 4),
-    lookahead=st.integers(0, 2),
     salt=st.integers(0, 2**16),
 )
 @settings(max_examples=20, deadline=None)
-def test_any_schedule_is_bit_identical_to_serial(plans, workers, lookahead, salt):
-    serial = _factor(plans, workers=1, lookahead=lookahead)
+def test_any_schedule_is_bit_identical_to_serial(plans, workers, salt):
+    serial = _factor(plans, workers=1)
 
     def jitter(task):
         return ((hash(task.key) ^ salt) % 3) * 0.0005
 
     with inject_task_delays(jitter):
-        threaded = _factor(plans, workers=workers, lookahead=lookahead)
+        threaded = _factor(plans, workers=workers)
 
     assert np.array_equal(serial.factor, threaded.factor)
     assert serial.stats == threaded.stats
@@ -100,9 +99,9 @@ def test_any_schedule_is_bit_identical_to_serial(plans, workers, lookahead, salt
     assert serial.runtime["task_total"] == threaded.runtime["task_total"]
 
 
-@given(workers=st.integers(1, 4), lookahead=st.integers(0, 2))
+@given(workers=st.integers(1, 4))
 @settings(max_examples=10, deadline=None)
-def test_injector_fires_once_across_restarts(workers, lookahead):
+def test_injector_fires_once_across_restarts(workers):
     # Two strikes in one tile column defeat the 2-checksum correction:
     # attempt 0 must restart, and the one-shot plans must NOT re-fire on
     # attempt 1 — whatever the schedule.
@@ -118,7 +117,7 @@ def test_injector_fires_once_across_restarts(workers, lookahead):
         Machine.preset("tardis"),
         a=a,
         block_size=BS,
-        config=AbftConfig(dag_workers=workers, lookahead=lookahead),
+        config=AbftConfig(dag_workers=workers),
         injector=inj,
     )
     assert res.restarts == 1

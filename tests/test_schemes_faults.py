@@ -7,7 +7,7 @@ distinguishing claims of the paper as executable assertions.
 import pytest
 
 from repro.blas.spd import random_spd
-from repro.core import AbftConfig, enhanced_potrf, offline_potrf, online_potrf
+from repro.core import SCHEMES, AbftConfig, enhanced_potrf, offline_potrf, online_potrf
 from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
@@ -170,3 +170,29 @@ class TestRestartBudget:
         res = online_potrf(tardis, a=a, block_size=BS, injector=inj)
         assert len(res.attempt_makespans) == 2
         assert res.makespan == pytest.approx(sum(res.attempt_makespans))
+
+
+class TestEveryHookFires:
+    """A planned fault fires in every scheme, once, at its planned iteration,
+    whether or not the hook's kernel has work there (no SYRK or GEMM at
+    j = 0, no TRSM on the last iteration)."""
+
+    NB = 4
+
+    @pytest.mark.parametrize("iteration", [0, NB - 1, -1])
+    @pytest.mark.parametrize(
+        "hook",
+        [Hook.AFTER_SYRK, Hook.AFTER_GEMM, Hook.AFTER_POTF2, Hook.AFTER_TRSM, Hook.STORAGE_WINDOW],
+    )
+    @pytest.mark.parametrize("scheme", ["offline", "online", "enhanced"])
+    def test_plan_fires_at_its_iteration(self, tardis, scheme, hook, iteration):
+        kind = "storage" if hook is Hook.STORAGE_WINDOW else "computing"
+        plan = FaultPlan(
+            hook=hook, iteration=iteration, kind=kind, block=(self.NB - 1, 0), coord=(3, 5)
+        )
+        inj = FaultInjector([plan])
+        a = random_spd(self.NB * 32, rng=5)
+        SCHEMES[scheme](tardis, a=a, block_size=32, injector=inj)
+        assert not inj.armed
+        # -1 means "the first time the hook fires", which is iteration 0.
+        assert [f.iteration for f in inj.fired] == [max(iteration, 0)]
