@@ -6,15 +6,9 @@ the maintenance *flops* are within ~20%, but the maintenance *data
 traffic* differs by an order of magnitude.
 """
 
-import numpy as np
-import pytest
 from conftest import save_artifact
 
-from repro.core.rowvariant import (
-    RowChecksumCodec,
-    render_variant_comparison,
-    update_flops_comparison,
-)
+from repro.core.rowvariant import render_variant_comparison, update_flops_comparison
 
 
 def test_regenerate_variant_table(benchmark, results_dir):
@@ -28,9 +22,3 @@ def test_traffic_ratio_at_paper_sizes():
         assert c.traffic_ratio > 10
         assert c.ratio < 1.3  # flops alone would not justify the choice
 
-
-def test_bench_row_codec_verify(benchmark):
-    codec = RowChecksumCodec(256)
-    tile = np.random.default_rng(0).standard_normal((256, 256))
-    strip = codec.encode(tile)
-    assert benchmark(codec.verify_and_correct, tile, strip) == 0

@@ -12,7 +12,7 @@ import pytest
 from repro.blas import dense
 from repro.blas.spd import random_spd
 from repro.core.checksum import encode_strip
-from repro.core.weights import weight_matrix
+from repro.core.multierror import vandermonde_weights
 
 B = 128
 
@@ -60,7 +60,7 @@ def test_bench_checksum_encode(benchmark, tile):
 def test_bench_checksum_verify_clean(benchmark, tile):
     """Detection on a clean tile: one fused GEMV + compare."""
     strip = encode_strip(tile)
-    w = weight_matrix(B)
+    w = vandermonde_weights(B, 2)
 
     def verify():
         fresh = w @ tile

@@ -2,13 +2,16 @@
 
 Layout:
 
-- :mod:`repro.core.weights` — the two weighted checksum vectors
-  (v₁ = 1, v₂ = 1..B) of Section IV-A.
+- :mod:`repro.core.multierror` — the weighted checksum code of Section
+  IV-A for any checksum count (Vandermonde weights; r = 2 gives the
+  paper's v₁ = 1, v₂ = 1..B) and its one decoder: detection threshold,
+  location (row = δ₂/δ₁ at r = 2), reconstruction, erasures.
 - :mod:`repro.core.checksum` — encoding a blocked matrix into its per-tile
   column-checksum matrix.
-- :mod:`repro.core.correct` — checksum recalculation, error detection,
-  single-error location (row = δ₂/δ₁) and correction, with the streamed
-  concurrent-kernel execution of Optimization 1.
+- :mod:`repro.core.batchverify` — the batched checksum detector.
+- :mod:`repro.core.correct` — verification batches: recalculation with the
+  streamed concurrent-kernel execution of Optimization 1, detection, then
+  the codec's decode of each flagged tile.
 - :mod:`repro.core.update` — the checksum-updating rules for SYRK, GEMM,
   POTF2 (Algorithm 2) and TRSM, placeable in the GPU main stream, a
   dedicated GPU stream, or on the CPU (Optimization 2).
@@ -30,10 +33,8 @@ from repro.core.correct import Verifier, VerifyStats
 from repro.core.multierror import MultiErrorCodec
 from repro.core.placement import choose_updating_placement, paper_decision_model
 from repro.core.policy import VerificationPolicy
-from repro.core.rowvariant import RowChecksumCodec
 from repro.core.schemes import SCHEMES, enhanced_potrf, offline_potrf, online_potrf
 from repro.core.update import ChecksumUpdater
-from repro.core.weights import weight_matrix
 
 __all__ = [
     "SCHEMES",
@@ -45,12 +46,10 @@ __all__ = [
     "VerifyStats",
     "enhanced_potrf",
     "MultiErrorCodec",
-    "RowChecksumCodec",
     "offline_potrf",
     "online_potrf",
     "choose_updating_placement",
     "paper_decision_model",
     "VerificationPolicy",
     "ChecksumUpdater",
-    "weight_matrix",
 ]

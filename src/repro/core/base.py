@@ -19,6 +19,7 @@ from repro.blas.flops import potrf_flops
 from repro.core.checksum import issue_encoding
 from repro.core.config import AbftConfig
 from repro.core.correct import Verifier, VerifyStats
+from repro.core.multierror import MultiErrorCodec
 from repro.core.policy import VerificationPolicy
 from repro.core.update import ChecksumUpdater
 from repro.desim.task import Task
@@ -139,8 +140,7 @@ class SchemeRun:
             self.matrix,
             self.chk,
             n_streams=config.resolved_streams(machine.spec),
-            rtol=config.rtol,
-            atol=config.atol,
+            codec=MultiErrorCodec(block_size, config.n_checksums, rtol=config.rtol),
             strips_on_host=self.placement == "cpu",
             stats=self.stats,
         )

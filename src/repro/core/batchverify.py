@@ -35,9 +35,9 @@ per-tile loop:
   tile, with the same bits as the per-tile ``W @ tile`` (the gather is a
   copy, and copies are exact; pinned by
   ``tests/test_batchverify_properties.py``);
-- the tolerance ``rtol · (W @ |tile|) + atol`` is computed as
-  ``t = W @ |X|; t *= rtol; t += atol``, the same two IEEE-754
-  operations per element;
+- the tolerance ``rtol · (W @ |tile|) + atol`` is the codec's one
+  :meth:`~repro.core.multierror.MultiErrorCodec.tolerance`, called on the
+  stack here and on the single tile by the decoder;
 - the verdict is element-wise: a checksum element fails unless
   ``|δ| <= tol`` and ``tol`` is finite.  Written this way a NaN δ (a
   NaN checksum element) fails like any other corruption, and an
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.multierror import MultiErrorCodec
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 
 Key = tuple[int, int]
@@ -71,13 +72,9 @@ def _indices(keys: list[Key]) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def _fails(
-    fresh: np.ndarray, tol: np.ndarray, strips: np.ndarray, rtol: float, atol: float
-) -> np.ndarray:
-    """Element-wise ``not (|fresh − strip| <= rtol·tol + atol)`` or a
-    non-finite tolerance.  Overwrites *fresh* and *tol*."""
-    tol *= rtol
-    tol += atol
+def _fails(fresh: np.ndarray, tol: np.ndarray, strips: np.ndarray) -> np.ndarray:
+    """Element-wise ``not (|fresh − strip| <= tol)`` or a non-finite
+    tolerance.  Overwrites *fresh*."""
     fresh -= strips
     np.abs(fresh, out=fresh)
     ok = fresh <= tol
@@ -89,27 +86,25 @@ def detect(
     matrix: DeviceMatrix,
     chk: DeviceChecksums,
     keys: list[Key],
-    weights: np.ndarray,
-    *,
-    rtol: float,
-    atol: float,
+    codec: MultiErrorCodec,
 ) -> list[Key]:
-    """Keys whose tiles fail the checksum comparison, in batch order.
+    """Keys whose tiles fail *codec*'s checksum comparison, in batch order.
 
     Pure detection: neither the tiles nor the strips are modified.
     """
+    weights = codec.weights
     if not _gathers(matrix):
         flagged = []
         for key in keys:  # noqa: RPL006 - B > 128: a gather costs more than the loop saves
             tile = matrix.tile_view(key)
-            if _fails(weights @ tile, weights @ np.abs(tile), chk.tile_view(key), rtol, atol).any():
+            if _fails(weights @ tile, codec.tolerance(np.abs(tile)), chk.tile_view(key)).any():
                 flagged.append(key)
         return flagged
     ii, jj = _indices(keys)
     tiles = matrix.tiles4[ii, :, jj, :]  # a gathered copy, k × B × B
     fresh = np.matmul(weights, tiles)
-    tol = np.matmul(weights, np.abs(tiles, out=tiles))
-    bad = _fails(fresh, tol, chk.tiles4[ii, :, jj, :], rtol, atol).any(axis=(1, 2))
+    tol = codec.tolerance(np.abs(tiles, out=tiles))
+    bad = _fails(fresh, tol, chk.tiles4[ii, :, jj, :]).any(axis=(1, 2))
     return [keys[t] for t in np.flatnonzero(bad).tolist()]
 
 

@@ -31,12 +31,14 @@ class AbftConfig:
         One of ``gpu_main`` (unoptimized: updates serialize in the main
         stream), ``gpu_stream``, ``cpu``, or ``auto`` (the Optimization-2
         decision model picks per machine).
-    rtol / atol:
-        Detection thresholds (see :class:`repro.core.correct.Verifier`).
+    rtol:
+        Relative detection threshold of the run's checksum code (see
+        :meth:`repro.core.multierror.MultiErrorCodec.tolerance`; its
+        absolute floor is the codec's ``atol``).
     n_checksums:
         Weighted checksums per tile.  2 is the paper's scheme (corrects one
-        error per tile column); larger values engage the generalized
-        Vandermonde code of :mod:`repro.core.multierror`, correcting
+        error per tile column); the Vandermonde code of
+        :mod:`repro.core.multierror` decodes every count, correcting
         ``n_checksums // 2`` unknown-location errors per column at
         proportionally higher recalculation and storage cost.
     max_restarts:
@@ -54,7 +56,6 @@ class AbftConfig:
     recalc_streams: int | None = None
     updating_placement: str = "auto"
     rtol: float = 1e-9
-    atol: float = 1e-12
     n_checksums: int = 2
     max_restarts: int = 1
     dag_workers: int = 1

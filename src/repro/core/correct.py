@@ -2,15 +2,20 @@
 
 This is the verification half of the ABFT machinery (Section IV-C):
 
-1. recompute the two column checksums of each tile to be checked
-   (BLAS-2 GEMV kernels — the expensive, critical-path operation that
-   Optimization 1 accelerates with concurrent kernel execution);
-2. compare against the maintained strips, column by column;
-3. classify each mismatching column:
+1. recompute the checksums of each tile to be checked (BLAS-2 GEMV
+   kernels — the expensive, critical-path operation that Optimization 1
+   accelerates with concurrent kernel execution);
+2. compare against the maintained strips (the batched detector,
+   :func:`repro.core.batchverify.detect`);
+3. decode each flagged tile with the run's
+   :class:`~repro.core.multierror.MultiErrorCodec`, the one decoder for
+   every checksum count.  For the paper's two checksums its rules are:
 
    ====================================  ===================================
-   δ₁ ≠ 0, δ₂ ≠ 0, δ₂/δ₁ ≈ r ∈ [1, B]    one data error at row r: subtract
-                                         δ₁ from ``tile[r-1, col]``
+   δ₁ ≠ 0, δ₂ ≠ 0, δ₂/δ₁ ≈ r ∈ [1, B]    one data error at row r:
+                                         reconstruct ``tile[r-1, col]``
+                                         from the checksum and the other
+                                         elements of its column
    δ₁ ≠ 0, δ₂ ≈ 0                        checksum row 1 itself corrupted
                                          (storage error in the checksum):
                                          refresh it from the data
@@ -27,22 +32,18 @@ numerics, using :meth:`repro.faults.taint.TaintState.correctable`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.batchverify import detect
-from repro.core.multierror import MultiErrorCodec, vandermonde_weights
+from repro.core.multierror import MultiErrorCodec
 from repro.desim.task import Task
 from repro.hetero.context import ExecutionContext
 from repro.hetero.costmodel import KernelCost
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.util.exceptions import UnrecoverableError
 from repro.util.validation import check_positive
-
-#: Tolerated deviation of the row locator δ₂/δ₁ from an integer.
-_LOCATOR_SLACK = 0.05
 
 
 @dataclass
@@ -70,11 +71,11 @@ class Verifier:
         Number of CUDA streams for the recalculation kernels.  1 disables
         Optimization 1 (every kernel serialized); the paper uses the GPU's
         designed concurrent-kernel count.
-    rtol / atol:
-        Detection threshold: a column is flagged when
-        ``|δ| > rtol · (W · |tile|) + atol`` — i.e. relative to the same
-        weighted sum of magnitudes that produced the checksum, which keeps
-        the threshold rounding-aware for any data scaling.
+    codec:
+        The checksum code that detects and decodes (its
+        :meth:`~repro.core.multierror.MultiErrorCodec.tolerance` is the
+        detection threshold).  Defaults to the strips' checksum count with
+        the codec's default tolerances.
     strips_on_host:
         True when checksum updating runs on the CPU (Optimization 2's CPU
         placement): each batch then pays an extra host→device strip
@@ -87,8 +88,7 @@ class Verifier:
         matrix: DeviceMatrix,
         chk: DeviceChecksums,
         n_streams: int = 1,
-        rtol: float = 1e-9,
-        atol: float = 1e-12,
+        codec: MultiErrorCodec | None = None,
         strips_on_host: bool = False,
         stats: VerifyStats | None = None,
     ) -> None:
@@ -96,22 +96,14 @@ class Verifier:
         self.ctx = ctx
         self.matrix = matrix
         self.chk = chk
-        self.rtol = rtol
-        self.atol = atol
         self.strips_on_host = strips_on_host
         self.stats = stats if stats is not None else VerifyStats()
         self.streams = [ctx.stream(f"recalc{i}") for i in range(n_streams)]
         self.n_checksums = chk.rows_per_tile
-        self.weights = vandermonde_weights(matrix.block_size, self.n_checksums)
-        # For r > 2 checksums, detection/correction delegates to the
-        # generalized Prony decoder; the r = 2 fast path below additionally
-        # repairs corrupted checksum rows, which the paper's scheme needs.
         self.codec = (
-            MultiErrorCodec(
-                matrix.block_size, n_checksums=self.n_checksums, rtol=rtol, atol=atol
-            )
-            if self.n_checksums > 2
-            else None
+            codec
+            if codec is not None
+            else MultiErrorCodec(matrix.block_size, n_checksums=self.n_checksums)
         )
 
     # ------------------------------------------------------------------ batch
@@ -131,7 +123,7 @@ class Verifier:
         Enhanced scheme).  *iteration* tags the barrier for the protocol
         analyzer: a verification guards reads of the same iteration.
         Raises :class:`UnrecoverableError` when any tile is corrupted
-        beyond the two-checksum code's reach.
+        beyond the checksum code's reach.
         """
         if not keys:
             return None
@@ -190,16 +182,7 @@ class Verifier:
 
     def check_real(self, keys: list[tuple[int, int]]) -> None:
         """Real-mode detection + correction for one batch of keys."""
-        check_tiles(
-            self.matrix,
-            self.chk,
-            keys,
-            self.weights,
-            rtol=self.rtol,
-            atol=self.atol,
-            stats=self.stats,
-            codec=self.codec,
-        )
+        check_tiles(self.matrix, self.chk, keys, self.codec, stats=self.stats)
 
     # ------------------------------------------------------------------ shadow
 
@@ -241,12 +224,9 @@ def check_tiles(
     matrix: DeviceMatrix,
     chk: DeviceChecksums,
     keys: list[tuple[int, int]],
-    weights: np.ndarray,
+    codec: MultiErrorCodec,
     *,
-    rtol: float,
-    atol: float,
     stats: VerifyStats,
-    codec: MultiErrorCodec | None = None,
 ) -> None:
     """Detect over the whole batch, then decode each flagged tile.
 
@@ -256,16 +236,9 @@ def check_tiles(
     so corrections, statistics and the first
     :class:`UnrecoverableError` are those of a per-tile loop.
     """
-    for key in detect(matrix, chk, keys, weights, rtol=rtol, atol=atol):  # noqa: RPL006 - flagged tiles only, usually none
+    for key in detect(matrix, chk, keys, codec):  # noqa: RPL006 - flagged tiles only, usually none
         check_tile_strip(
-            key,
-            matrix.tile_view(key),
-            chk.tile_view(key),
-            weights,
-            rtol=rtol,
-            atol=atol,
-            stats=stats,
-            codec=codec,
+            key, matrix.tile_view(key), chk.tile_view(key), codec, stats=stats
         )
 
 
@@ -273,103 +246,21 @@ def check_tile_strip(
     key: tuple[int, int],
     tile: np.ndarray,
     strip: np.ndarray,
-    weights: np.ndarray,
+    codec: MultiErrorCodec,
     *,
-    rtol: float,
-    atol: float,
     stats: VerifyStats,
-    codec: MultiErrorCodec | None = None,
 ) -> None:
-    """Detect/correct one tile against its strip (pure host numerics).
+    """Decode one tile against its strip (pure host numerics) and count it.
 
-    The per-tile decoder behind :func:`check_tiles`.  A checksum element
-    fails unless ``|δ| <= tol``, so a NaN element is repaired like any
-    other corrupt checksum row.
+    The per-tile step behind :func:`check_tiles`; the decoding is
+    :meth:`~repro.core.multierror.MultiErrorCodec.verify_and_correct`.
     """
-    if codec is not None:
-        try:
-            corrections = codec.verify_and_correct(tile, strip)
-        except UnrecoverableError as exc:
-            raise UnrecoverableError(str(exc), block=key) from exc
-        for corr in corrections:
-            stats.data_corrections += len(corr.rows)
-            stats.columns_flagged += 1
-            for row in corr.rows:
-                stats.corrected_sites.append((key, row, corr.column))
-        return
-    fresh = weights @ tile
-    tol = rtol * (weights @ np.abs(tile)) + atol
-    if not np.isfinite(tol).all():
-        # An overflowed weighted sum (a top-exponent flip) or a NaN makes
-        # every comparison against this tolerance vacuous: |δ| > inf is
-        # never true, so a corrupt data element would pass as clean or be
-        # blamed on a checksum row.  Nothing here can be trusted: restart.
-        raise UnrecoverableError(
-            f"tile {key}: checksum recalculation is not finite", block=key
-        )
-    delta = fresh - strip
-    bad = ~(np.abs(delta) <= tol)
-    if not bad.any():
-        return
-    cols = np.nonzero(bad.any(axis=0))[0]
-    stats.columns_flagged += len(cols)
-    for col in cols:
-        _fix_column(key, tile, strip, fresh, tol, int(col), stats)
-    # Confirm: the tile must now satisfy both checksums.  The tolerance
-    # is recomputed from the *corrected* tile: a flip that produced an
-    # astronomically large value inflates the pre-correction tolerance,
-    # and subtracting δ₁ back out loses the true value to cancellation —
-    # the fresh tolerance catches that and escalates to a restart.
-    fresh2 = weights @ tile
-    tol2 = rtol * (weights @ np.abs(tile)) + atol
-    if not (np.abs(fresh2 - strip) <= tol2).all():
-        raise UnrecoverableError(
-            f"tile {key}: corruption persists after correction", block=key
-        )
-
-
-def _fix_column(
-    key: tuple[int, int],
-    tile: np.ndarray,
-    strip: np.ndarray,
-    fresh: np.ndarray,
-    tol: np.ndarray,
-    col: int,
-    stats: VerifyStats,
-) -> None:
-    b = tile.shape[0]
-    d1 = fresh[0, col] - strip[0, col]
-    d2 = fresh[1, col] - strip[1, col]
-    bad1 = not abs(d1) <= tol[0, col]
-    bad2 = not abs(d2) <= tol[1, col]
-    if bad1 and bad2:
-        ratio = d2 / d1
-        if not math.isfinite(ratio):
-            raise UnrecoverableError(
-                f"tile {key} column {col}: locator {ratio} is not finite",
-                block=key,
-            )
-        row = round(ratio)
-        if abs(ratio - row) > _LOCATOR_SLACK or not 1 <= row <= b:
-            raise UnrecoverableError(
-                f"tile {key} column {col}: locator {ratio:.3f} is not a "
-                "valid row — more than one error in this column",
-                block=key,
-            )
-        # Reconstruct rather than subtract δ₁: the stored checksum minus
-        # the exact sum of the *other* (clean) column elements recovers
-        # the true value with no cancellation even when the corruption
-        # is astronomically larger than the data (e.g. a top-exponent
-        # bit flip) — subtracting δ₁ would lose the value to rounding.
-        others = np.delete(tile[:, col], row - 1)
-        tile[row - 1, col] = strip[0, col] - others.sum()
-        stats.data_corrections += 1
-        stats.corrected_sites.append((key, row - 1, col))
-    elif bad1:
-        # δ₂ consistent but δ₁ off: checksum row 1 itself was hit.
-        strip[0, col] = fresh[0, col]
-        stats.checksum_corrections += 1
-    else:
-        strip[1, col] = fresh[1, col]
-        stats.checksum_corrections += 1
-
+    try:
+        corrections = codec.verify_and_correct(tile, strip)
+    except UnrecoverableError as exc:
+        raise UnrecoverableError(f"tile {key}: {exc}", block=key) from exc
+    stats.columns_flagged += len(corrections)
+    for corr in corrections:
+        stats.data_corrections += len(corr.rows)
+        stats.checksum_corrections += len(corr.refreshed)
+        stats.corrected_sites.extend((key, row, corr.column) for row in corr.rows)

@@ -1,30 +1,46 @@
-"""Generalized weighted checksums: the paper's "m+1 checksums" extension.
+"""The weighted-checksum code and its one decoder, for any checksum count.
 
 Section IV-A notes that "generally, m+1 column/row checksums could locate
 and correct up to m errors per column/row" before settling on m=1.  This
-module implements the general code and makes its real information-theoretic
-limits explicit:
+module implements that code for every checksum count r = m+1 and makes its
+real limits explicit:
 
-- with m+1 checksums, up to **m errors at known rows** (erasures — e.g.
-  a row flagged corrupt by a neighbouring tile's diagnosis) are corrected
-  by solving a Vandermonde system;
-- up to **⌊(m+1)/2⌋ errors at unknown rows** are located and corrected by
-  Prony/Reed-Solomon-style syndrome decoding (2t syndromes are needed for
-  t unknown locations — the paper's m=1 case, one error from two
-  checksums, is exactly t=1, 2t=2);
-- anything beyond is *detected* (the syndromes are not explainable) and
-  escalates to a restart rather than a guess.
+- with r checksums, up to **⌊r/2⌋ errors at unknown rows** per column are
+  located and corrected (2t syndromes are needed for t unknown locations —
+  the paper's r = 2 case, one error located by δ₂/δ₁, is t = 1);
+- up to **r − 1 errors at known rows** (erasures — e.g. rows whose
+  snapshot CRC failed) are corrected by solving a Vandermonde system
+  (:meth:`MultiErrorCodec.correct_erasures`, :meth:`~MultiErrorCodec.correct_mixed`);
+- anything beyond is *detected* and escalates to a restart rather than a
+  guess.
 
 **Encoding.**  Weight vectors are Vandermonde rows ``v_t = [1ᵗ, 2ᵗ, …, Bᵗ]``
-for t = 0..m; for m=1 this reduces exactly to the paper's v₁ = 1,
-v₂ = 1..B.  For a column holding errors e_i at (1-based) rows r_i the
-syndromes are the power sums ``S_t = Σ e_i · r_iᵗ``.
+for t = 0..r−1; for r = 2 these are exactly the paper's v₁ = 1, v₂ = 1..B.
+For a column holding errors e_i at (1-based) rows r_i the syndromes are the
+power sums ``S_t = Σ e_i · r_iᵗ``.
 
-**Decoding.**  The unknown-location decoder finds the locator polynomial
-whose coefficients solve a Hankel system in the syndromes, takes its roots
-as candidate rows, solves for magnitudes, and — because this is floating
-point, not GF(2^w) — *verifies* the candidate against every syndrome
-before touching the data.
+**Decoding** (:meth:`MultiErrorCodec.verify_and_correct`, the one decoder
+of both engines and of salvage).  A checksum element is out of tolerance
+unless ``|δ| <= rtol·(W·|tile|) + atol`` (:meth:`MultiErrorCodec.tolerance`,
+the one detection threshold), so a NaN element is out.  Per flagged column:
+
+====================================  =====================================
+exactly one checksum row out          that strip element is corrupt:
+                                      refresh it from the data
+any other flagged column              locate the fewest errors, at most
+                                      ⌊r/2⌋: one error at row δ₂/δ₁ (within
+                                      :data:`ROW_SLACK` of an integer),
+                                      t ≥ 2 at the roots of the Prony
+                                      locator polynomial
+each located element                  reconstructed from the stored
+                                      checksums and the column's other
+                                      elements
+====================================  =====================================
+
+The tile is then confirmed against a tolerance recomputed from the
+corrected tile, with no slack that grows with the corruption removed: two
+errors of which one hides under the other's rounding leave a residue the
+confirm sees.  Anything else raises :class:`UnrecoverableError`.
 
 The update rules of the two-checksum scheme apply to any strip height
 (all four operations act by right-multiplication/subtraction), so this
@@ -34,6 +50,7 @@ measures how overhead grows with the checksum count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,17 +89,29 @@ def encode_strip(tile: np.ndarray, n_checksums: int = 2) -> np.ndarray:
 encode = encode_strip
 
 
+#: Tolerated distance of a located row from an integer: the paper's δ₂/δ₁
+#: and every root of the Prony locator polynomial.
+ROW_SLACK = 0.05
+
+
 @dataclass(frozen=True)
 class ColumnCorrection:
-    """One decoded column: error rows (0-based) and magnitudes."""
+    """One decoded column: the data rows (0-based) it repaired with their
+    error magnitudes, and the checksum rows it refreshed from the data."""
 
     column: int
     rows: tuple[int, ...]
     magnitudes: tuple[float, ...]
+    refreshed: tuple[int, ...] = ()
 
 
 class MultiErrorCodec:
-    """Encode / verify / correct with ``n_checksums`` weighted checksums."""
+    """Encode / verify / correct with ``n_checksums`` weighted checksums.
+
+    *rtol* and *atol* set the detection threshold (:meth:`tolerance`): the
+    runs use ``atol = 1e-12``, salvage a looser floor
+    (:data:`repro.recovery.salvage.SALVAGE_ATOL`).
+    """
 
     def __init__(
         self,
@@ -99,7 +128,7 @@ class MultiErrorCodec:
 
     @property
     def correctable_unknown(self) -> int:
-        """Errors per column correctable without location hints: ⌊(m+1)/2⌋."""
+        """Errors per column correctable without location hints: ⌊r/2⌋."""
         return self.n_checksums // 2
 
     @property
@@ -126,59 +155,126 @@ class MultiErrorCodec:
         require(tile.shape[0] == self.block_size, "tile height mismatch")
         return self.weights @ tile
 
-    def _tolerance(self, tile: np.ndarray) -> np.ndarray:
-        return self.rtol * (self.weights @ np.abs(tile)) + self.atol
+    def tolerance(self, magnitudes: np.ndarray) -> np.ndarray:
+        """The detection threshold ``rtol·(W·|tile|) + atol`` of each checksum
+        element, relative to the same weighted sum of magnitudes that
+        produced the checksum.
+
+        *magnitudes* is ``|tile|`` or a stack of them (k×B×B).  The
+        batched detector and every verdict of this codec use this one
+        rule; it is written as ``t = W @ |X|; t *= rtol; t += atol`` so a
+        stacked and a single-tile call give the same bits.
+        """
+        tol = np.matmul(self.weights, magnitudes)
+        tol *= self.rtol
+        tol += self.atol
+        return tol
 
     # -- unknown-location correction -------------------------------------------
 
     def verify_and_correct(
         self, tile: np.ndarray, strip: np.ndarray
     ) -> list[ColumnCorrection]:
-        """Detect, locate and correct errors per column, in place.
+        """Detect, locate and correct one tile against its strip, in place.
 
-        Corrects up to :attr:`correctable_unknown` errors per column;
-        raises :class:`UnrecoverableError` when a column's syndromes cannot
-        be explained (detection up to ``n_checksums − 1`` errors).
+        Returns one :class:`ColumnCorrection` per flagged column (the
+        rules are in the module docstring); raises
+        :class:`UnrecoverableError` when a column cannot be explained by a
+        corrupt checksum element or by at most :attr:`correctable_unknown`
+        errors, or when the corrected tile fails its confirm.
         """
         require(
             strip.shape == (self.n_checksums, tile.shape[1]),
             "strip shape mismatch",
         )
         fresh = self.encode(tile)
-        tol = self._tolerance(tile)
+        tol = self.tolerance(np.abs(tile))
         if not np.isfinite(tol).all():
-            # Same rule as the two-checksum path: an overflowed tolerance
-            # hides every syndrome, so no decode can be trusted.
+            # An overflowed weighted sum (a top-exponent flip) or a NaN makes
+            # every comparison against this tolerance vacuous: a corrupt data
+            # element would pass as clean or be blamed on a checksum row.
             raise UnrecoverableError("checksum recalculation is not finite")
         syndromes = fresh - strip
-        if not np.isfinite(syndromes).all():
-            # A NaN syndrome passes every comparison against a tolerance,
-            # and no locator explains an infinite one: restart.
-            raise UnrecoverableError("checksum syndrome is not finite")
+        bad = ~(np.abs(syndromes) <= tol)
         corrections: list[ColumnCorrection] = []
-        bad_cols = np.nonzero((np.abs(syndromes) > tol).any(axis=0))[0]
-        for col in bad_cols:
-            corr = self._decode_column(syndromes[:, col], tol[:, col], int(col))
-            self._apply(tile, strip, corr)
-            corrections.append(corr)
-        if bad_cols.size:
-            self._recheck(tile, strip, self._syndrome_slack(syndromes))
+        for col in np.flatnonzero(bad.any(axis=0)).tolist():
+            out = np.flatnonzero(bad[:, col])
+            if out.size == 1:
+                # A data error moves every syndrome; one alone is its own
+                # checksum element (a storage error in the strip).
+                row = int(out[0])
+                strip[row, col] = fresh[row, col]
+                corrections.append(ColumnCorrection(col, (), (), refreshed=(row,)))
+                continue
+            rows = self._locate(syndromes[:, col], tol[:, col], col)
+            corrupt = tile[rows, col]
+            self._reconstruct(tile, strip, col, rows)
+            corrections.append(
+                ColumnCorrection(
+                    col, tuple(rows), tuple((corrupt - tile[rows, col]).tolist())
+                )
+            )
+        if corrections and not (
+            np.abs(self.encode(tile) - strip) <= self.tolerance(np.abs(tile))
+        ).all():
+            raise UnrecoverableError("corruption persists after correction")
         return corrections
 
-    def _apply(
-        self, tile: np.ndarray, strip: np.ndarray, corr: ColumnCorrection
+    def _locate(self, s: np.ndarray, tol: np.ndarray, col: int) -> list[int]:
+        """Rows (0-based) of the fewest errors, at most ⌊r/2⌋, that explain
+        one column's syndromes *s*.
+
+        The syndromes past the first 2t must agree with a t-error
+        candidate to within 1e-8 of their size.  That only chooses t: the
+        rounding of a huge error can hide a small one here, and the
+        confirm after reconstruction catches it.
+        """
+        reason = ""
+        for t in range(1, self.correctable_unknown + 1):
+            if t == 1:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = s[1] / s[0]  # S₀ may be clean when r ≥ 3
+                if not math.isfinite(ratio):
+                    reason = f"locator {ratio} is not finite"
+                    continue
+                row = round(ratio)
+                if abs(ratio - row) > ROW_SLACK or not 1 <= row <= self.block_size:
+                    reason = (
+                        f"locator {ratio:.3f} is not a valid row — more than "
+                        "one error in this column"
+                    )
+                    continue
+                rows, mags = np.array([row - 1]), s[:1]
+            else:
+                got = self._try_k_errors(s, t)
+                if got is None:
+                    reason = f"syndromes not explainable by <= {t} errors"
+                    continue
+                rows, mags = got
+            powers = np.arange(2 * t, self.n_checksums, dtype=np.float64)
+            explained = ((rows[None, :] + 1.0) ** powers[:, None]) @ mags
+            rest = s[2 * t :]
+            if (np.abs(rest - explained) <= np.maximum(tol[2 * t :], 1e-8 * np.abs(rest))).all():
+                return [int(r) for r in rows]
+            reason = f"syndromes not explainable by <= {t} errors"
+        raise UnrecoverableError(f"column {col}: {reason}")
+
+    def _reconstruct(
+        self, tile: np.ndarray, strip: np.ndarray, col: int, rows: list[int]
     ) -> None:
-        """Reconstruct each located element from the S₀ checksum and the
-        exact sum of the column's other elements (no cancellation even for
-        astronomically large corruption — see ``repro.core.correct``)."""
-        col = corr.column
-        if len(corr.rows) == 1:
-            (row,) = corr.rows
-            others = np.delete(tile[:, col], row)
-            tile[row, col] = strip[0, col] - others.sum()
-        else:
-            for row, mag in zip(corr.rows, corr.magnitudes):
-                tile[row, col] -= mag
+        """Solve the located elements from the first ``len(rows)`` stored
+        checksums minus the column's other elements.
+
+        No corrupt value enters the sums, so the true values come back
+        with no cancellation even when the corruption is astronomically
+        larger than the data (a top-exponent bit flip); subtracting the
+        error would lose them to rounding.
+        """
+        keep = np.ones(self.block_size, dtype=bool)
+        keep[rows] = False
+        w = self.weights[: len(rows)]
+        rhs = strip[: len(rows), col] - (w[:, keep] * tile[keep, col]).sum(axis=1)
+        tile[rows, col] = np.linalg.solve(w[:, rows], rhs)
 
     def _recheck(
         self, tile: np.ndarray, strip: np.ndarray, slack: np.ndarray | None = None
@@ -192,7 +288,7 @@ class MultiErrorCodec:
         miscorrection leaves O(S) residue — far above the slack.
         """
         fresh2 = self.encode(tile)
-        tol2 = self._tolerance(tile)
+        tol2 = self.tolerance(np.abs(tile))
         if slack is not None:
             tol2 = tol2 + slack[None, :]
         if (np.abs(fresh2 - strip) > tol2).any():
@@ -231,7 +327,7 @@ class MultiErrorCodec:
         syndromes = self.encode(tile) - strip
         # least-squares: m+1 equations, k ≤ m unknowns per column
         mags, *_ = np.linalg.lstsq(vand, syndromes, rcond=None)
-        tol = self._tolerance(tile)
+        tol = self.tolerance(np.abs(tile))
         changed = int((np.abs(mags) > tol[0][None, :]).sum())
         for i, row in enumerate(rows):
             tile[row, :] -= mags[i]
@@ -291,7 +387,7 @@ class MultiErrorCodec:
         n_mod = self.n_checksums - k
         t_max = n_mod // 2
         syndromes = self.encode(tile) - strip
-        tol = self._tolerance(tile)
+        tol = self.tolerance(np.abs(tile))
         t_mod = np.zeros((n_mod, tile.shape[1]))
         tol_mod = np.zeros((n_mod, tile.shape[1]))
         for u in range(n_mod):
@@ -366,31 +462,6 @@ class MultiErrorCodec:
 
     # -- syndrome decoding ----------------------------------------------------------
 
-    def _decode_column(
-        self, s: np.ndarray, tol: np.ndarray, col: int
-    ) -> ColumnCorrection:
-        """Prony decoding; smallest error count wins."""
-        for k in range(1, self.correctable_unknown + 1):
-            got = self._try_k_errors(s, k)
-            if got is None:
-                continue
-            rows, mags = got
-            explained = np.zeros_like(s)
-            powers = np.arange(self.n_checksums, dtype=np.float64)
-            for r, e in zip(rows, mags):
-                explained += e * (r + 1.0) ** powers
-            slack = np.maximum(tol, 1e-8 * np.abs(s) + self.atol)
-            if (np.abs(s - explained) <= slack).all():
-                return ColumnCorrection(
-                    column=col,
-                    rows=tuple(int(r) for r in rows),
-                    magnitudes=tuple(float(e) for e in mags),
-                )
-        raise UnrecoverableError(
-            f"column {col}: syndromes not explainable by "
-            f"<= {self.correctable_unknown} errors"
-        )
-
     def _try_k_errors(
         self, s: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -404,10 +475,9 @@ class MultiErrorCodec:
             rhs[i] = -s[i + k]
         try:
             coeffs = np.linalg.solve(hankel, rhs)
+            roots = np.roots(np.concatenate(([1.0], coeffs[::-1])))
         except np.linalg.LinAlgError:
-            return None
-        poly = np.concatenate(([1.0], coeffs[::-1]))
-        roots = np.roots(poly)
+            return None  # a singular Hankel system or a non-finite polynomial
         real_scale = max(1.0, float(np.abs(roots.real).max(initial=1.0)))
         if np.abs(roots.imag).max(initial=0.0) > 1e-6 * real_scale:
             return None
@@ -416,7 +486,7 @@ class MultiErrorCodec:
             return None
         if not ((1 <= locs) & (locs <= self.block_size)).all():
             return None
-        if np.abs(roots.real - locs).max() > 0.05:
+        if np.abs(roots.real - locs).max() > ROW_SLACK:
             return None
         vand = locs[None, :].astype(np.float64) ** np.arange(k)[:, None]
         try:

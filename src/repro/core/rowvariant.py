@@ -24,124 +24,17 @@ Column checksums commute with all four (they act from the *left* while the
 algorithm multiplies from the *right*), so their updates reuse previously
 maintained strips at O(strip) cost.  Row checksums lose that property for
 TRSM/POTF2 — their "update" touches every data element, doubling as a
-recalculation.  :func:`update_flops_comparison` quantifies the gap; the
-:class:`RowChecksumCodec` implements detection/correction (one error per
-block **row**) so the variant is still usable where writes are row-sparse.
+recalculation.  :func:`update_flops_comparison` quantifies the gap
+(``results/ablation_rowvariant.txt``); nothing here runs row checksums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.blas import flops as fl
-from repro.core.multierror import vandermonde_weights
-from repro.util.exceptions import UnrecoverableError
 from repro.util.formatting import render_table
-from repro.util.validation import check_block_size, require
-
-_LOCATOR_SLACK = 0.05
-
-
-def encode_row_strip(tile: np.ndarray, n_checksums: int = 2) -> np.ndarray:
-    """The B×r row-checksum strip ``A · Wᵀ``."""
-    return tile @ vandermonde_weights(tile.shape[1], n_checksums).T
-
-
-class RowChecksumCodec:
-    """Detect/locate/correct with two weighted *row* checksums.
-
-    Mirrors the column codec with rows and columns exchanged: locates one
-    error per block row (column index = δ₂/δ₁) and reconstructs from the
-    stored checksum and the exact sum of the row's other elements.
-    """
-
-    def __init__(self, block_size: int, rtol: float = 1e-9, atol: float = 1e-12) -> None:
-        self.block_size = block_size
-        self.rtol = rtol
-        self.atol = atol
-        self.weights = vandermonde_weights(block_size, 2)
-
-    def encode(self, tile: np.ndarray) -> np.ndarray:
-        return tile @ self.weights.T
-
-    def verify_and_correct(self, tile: np.ndarray, strip: np.ndarray) -> int:
-        """Correct ≤1 error per block row, in place; returns corrections."""
-        require(strip.shape == (tile.shape[0], 2), "strip must be B×2")
-        fresh = self.encode(tile)
-        tol = np.abs(tile) @ self.weights.T * self.rtol + self.atol
-        delta = fresh - strip
-        bad_rows = np.nonzero((np.abs(delta) > tol).any(axis=1))[0]
-        fixed = 0
-        for row in bad_rows:
-            d1, d2 = delta[row, 0], delta[row, 1]
-            if abs(d1) <= tol[row, 0]:
-                strip[row, 1] = fresh[row, 1]  # checksum column 2 corrupted
-                continue
-            if abs(d2) <= tol[row, 1]:
-                strip[row, 0] = fresh[row, 0]
-                continue
-            ratio = d2 / d1
-            col = round(ratio)
-            if abs(ratio - col) > _LOCATOR_SLACK or not 1 <= col <= self.block_size:
-                raise UnrecoverableError(
-                    f"row {row}: locator {ratio:.3f} invalid — more than one "
-                    "error in this row"
-                )
-            others = np.delete(tile[row, :], col - 1)
-            tile[row, col - 1] = strip[row, 0] - others.sum()
-            fixed += 1
-        if bad_rows.size:
-            fresh2 = self.encode(tile)
-            tol2 = np.abs(tile) @ self.weights.T * self.rtol + self.atol
-            if (np.abs(fresh2 - strip) > tol2).any():
-                raise UnrecoverableError("row-checksum correction failed")
-        return fixed
-
-
-# ---------------------------------------------------------------------------
-# Update rules (numerics) — note which arguments are data tiles
-# ---------------------------------------------------------------------------
-
-
-def update_row_strip_gemm(
-    strip_c: np.ndarray, a_data: np.ndarray, b_data: np.ndarray, weights: np.ndarray
-) -> None:
-    """``R(C − A·Bᵀ) = R(C) − A·(Bᵀ·Wᵀ)`` in place.
-
-    ``Bᵀ·Wᵀ`` is an extra GEMV over the *data* of B — the cost column
-    checksums avoid by carrying ``W·A`` for the left operand instead.
-    """
-    strip_c -= a_data @ (b_data.T @ weights.T)
-
-
-def update_row_strip_trsm(
-    strip_b: np.ndarray, b_data_after: np.ndarray, ell: np.ndarray, weights: np.ndarray
-) -> None:
-    """``R(B·L^{-T}) = B' · Wᵀ`` — a full recomputation from the solved data.
-
-    The transformed weights ``u = L^{-T}·w`` exist (one triangular solve),
-    but applying them still reads every element of the solved tile, so the
-    cheapest correct "update" is re-encoding.  This is the asymmetry that
-    disqualifies row checksums for Cholesky's TRSM-heavy right half.
-    """
-    del ell  # the solve is already reflected in b_data_after
-    strip_b[:] = b_data_after @ weights.T
-
-
-def transformed_weights(ell: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``u = L^{-T} wᵀ`` — the (cheap) half of the TRSM rule.
-
-    One small back-substitution; with it, ``R(B·L^{-T}) = B·u`` — but note
-    the remaining factor is the *data* tile B, which is the expensive part.
-    """
-    return np.linalg.solve(ell.T, weights.T)
-
-
-# ---------------------------------------------------------------------------
-# Cost comparison
-# ---------------------------------------------------------------------------
+from repro.util.validation import check_block_size
 
 
 @dataclass(frozen=True)

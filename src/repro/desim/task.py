@@ -8,14 +8,11 @@ contexts in :mod:`repro.hetero` derive them from CUDA stream semantics
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.desim.resource import Resource
 from repro.util.exceptions import ValidationError
-
-_task_ids = itertools.count()
 
 
 @dataclass(eq=False, slots=True)
@@ -40,6 +37,9 @@ class Task:
         queries and overhead accounting.
     meta:
         Arbitrary annotations (block indices, iteration, byte counts).
+
+    ``tid`` is the task's position in its :class:`TaskGraph` (−1 until
+    added), so two identical graphs number their tasks identically.
     """
 
     name: str
@@ -49,7 +49,7 @@ class Task:
     kind: str = "task"
     meta: dict[str, Any] = field(default_factory=dict)
     deps: list["Task"] = field(default_factory=list)
-    tid: int = field(default_factory=_task_ids.__next__, init=False)
+    tid: int = field(default=-1, init=False)
 
     # Filled in by the engine:
     start_time: float = field(default=-1.0, init=False)
@@ -95,7 +95,8 @@ class TaskGraph:
         self.tasks: list[Task] = []
 
     def add(self, task: Task) -> Task:
-        """Register *task* and return it."""
+        """Register *task*, numbering it in this graph, and return it."""
+        task.tid = len(self.tasks)
         self.tasks.append(task)
         return task
 

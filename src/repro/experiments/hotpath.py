@@ -75,12 +75,9 @@ def check_per_tile(
     matrix: DeviceMatrix,
     chk: DeviceChecksums,
     keys: list[tuple[int, int]],
-    weights: np.ndarray,
+    codec: MultiErrorCodec,
     *,
-    rtol: float,
-    atol: float,
     stats: VerifyStats,
-    codec: MultiErrorCodec | None = None,
 ) -> None:
     """The per-tile reference: :func:`check_tile_strip` on every key.
 
@@ -90,14 +87,7 @@ def check_per_tile(
     """
     for key in keys:
         check_tile_strip(
-            key,
-            matrix.tile_view(key),
-            chk.tile_view(key),
-            weights,
-            rtol=rtol,
-            atol=atol,
-            stats=stats,
-            codec=codec,
+            key, matrix.tile_view(key), chk.tile_view(key), codec, stats=stats
         )
 
 
@@ -150,16 +140,7 @@ def _sweep(
             if mode == "batched":
                 verifier.check_real(keys)
             else:
-                check_per_tile(
-                    matrix,
-                    chk,
-                    keys,
-                    verifier.weights,
-                    rtol=verifier.rtol,
-                    atol=verifier.atol,
-                    stats=verifier.stats,
-                    codec=verifier.codec,
-                )
+                check_per_tile(matrix, chk, keys, verifier.codec, stats=verifier.stats)
             best[mode] = min(best[mode], time.perf_counter() - t0)
         final[mode] = (matrix.array.copy(), chk.array.copy(), verifier.stats)
     (b_data, b_chk, b_stats), (p_data, p_chk, p_stats) = final["batched"], final["per_tile"]

@@ -59,9 +59,10 @@ def execute_resume(job: Job, machine: Machine, salvage: Salvage) -> AttemptOutco
     factor = res.factor
     residual = factorization_residual(pristine, factor)
     corrected = res.stats.data_corrections + res.stats.checksum_corrections
+    repaired = stats.corrected_errors + stats.refreshed_checksums
     return AttemptOutcome(
         sim_makespan=res.makespan,
-        corrected_errors=corrected + stats.corrected_errors,
+        corrected_errors=corrected + repaired,
         restarts=res.restarts,
         residual=residual,
         timeline=res.timeline,

@@ -15,7 +15,9 @@ shows up in two independent ways:
 Both decode through one call per tile:
 :meth:`~repro.core.multierror.MultiErrorCodec.correct_mixed` solves the
 known-row erasures and locates up to ``⌊(m+1−k)/2⌋`` unknown errors on
-top.  Anything beyond capacity raises — the caller escalates to a full
+top.  A tile with no erased rows goes through the in-run decoder, so a
+lone corrupt strip element is refreshed from the data, as in the run.
+Anything beyond capacity raises — the caller escalates to a full
 restart; a silently wrong factor is never produced.
 """
 
@@ -108,8 +110,10 @@ class RepairStats:
 
     erased_tiles: int = 0  #: tiles reconstructed from known-row erasures
     erased_elements: int = 0  #: elements the erasure solve changed
-    corrected_errors: int = 0  #: unknown-location errors the decode fixed
+    corrected_errors: int = 0  #: unknown-location data errors the decode fixed
+    refreshed_checksums: int = 0  #: corrupt strip elements refreshed from the data
     reencoded_tiles: int = 0  #: strips rebuilt after strip-row loss
+    #: ``(tile, row, col)`` of each corrected data error, as the schemes record
     corrected_sites: list = field(default_factory=list)
 
 
@@ -171,8 +175,8 @@ def repair_salvage(
             if rows:
                 stats.erased_tiles += 1
                 stats.erased_elements += changed
-            stats.corrected_errors += len(corrections)
-            stats.corrected_sites.extend(
-                ((i, c), corr.column, corr.rows) for corr in corrections
-            )
+            for corr in corrections:
+                stats.corrected_errors += len(corr.rows)
+                stats.refreshed_checksums += len(corr.refreshed)
+                stats.corrected_sites.extend(((i, c), row, corr.column) for row in corr.rows)
     return stats

@@ -217,18 +217,13 @@ def _verify_body(
     matrix: DeviceMatrix,
     chk: DeviceChecksums,
     keys: list[Key],
-    weights: np.ndarray,
-    rtol: float,
-    atol: float,
+    codec: MultiErrorCodec,
     stats: VerifyStats,
-    codec: MultiErrorCodec | None,
 ) -> Callable[[], None]:
     def _body_verify() -> None:
         stats.batches += 1
         stats.tiles_verified += len(keys)
-        check_tiles(
-            matrix, chk, keys, weights, rtol=rtol, atol=atol, stats=stats, codec=codec
-        )
+        check_tiles(matrix, chk, keys, codec, stats=stats)
 
     return _body_verify
 
@@ -268,12 +263,8 @@ def _rw(keys: list[Key]) -> frozenset[Cell]:
 def build_cholesky_graph(
     matrix: DeviceMatrix,
     chk: DeviceChecksums,
-    weights: np.ndarray,
+    codec: MultiErrorCodec,
     injector: FaultInjector,
-    *,
-    rtol: float,
-    atol: float,
-    codec: MultiErrorCodec | None = None,
 ) -> tuple[TaskGraph, list[VerifyStats]]:
     """The full task graph for one factorization attempt.
 
@@ -299,7 +290,7 @@ def build_cholesky_graph(
             anchor_tile,
             reads=footprint,
             writes=footprint,
-            fn=_verify_body(matrix, chk, keys, weights, rtol, atol, slot, codec),
+            fn=_verify_body(matrix, chk, keys, codec, slot),
         )
 
     def _fires_for(kind: str, iteration: int, tile: Key) -> list[FaultPlan]:

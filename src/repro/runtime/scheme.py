@@ -24,7 +24,7 @@ from repro.blas.blocked import BlockedMatrix
 from repro.blas.flops import potrf_flops
 from repro.core.config import AbftConfig
 from repro.core.correct import VerifyStats
-from repro.core.multierror import MultiErrorCodec, vandermonde_weights
+from repro.core.multierror import MultiErrorCodec
 from repro.desim.trace import (
     META_CHK_READS,
     META_CHK_WRITES,
@@ -127,12 +127,7 @@ def dag_potrf(
     bs = block_size if block_size is not None else machine.default_block_size
     check_block_size(n, bs)
     pristine = a.copy()
-    weights = vandermonde_weights(bs, cfg.n_checksums)
-    codec = (
-        MultiErrorCodec(bs, n_checksums=cfg.n_checksums, rtol=cfg.rtol, atol=cfg.atol)
-        if cfg.n_checksums > 2
-        else None
-    )
+    codec = MultiErrorCodec(bs, cfg.n_checksums, rtol=cfg.rtol)
 
     total = 0.0
     attempt_times: list[float] = []
@@ -144,17 +139,9 @@ def dag_potrf(
         inj.bind("matrix", matrix)
         inj.bind("checksum", chk)
         t_start = time.perf_counter()
-        encode_strips(matrix, chk, weights)
+        encode_strips(matrix, chk, codec.weights)
         inj.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)
-        graph, slots = build_cholesky_graph(
-            matrix,
-            chk,
-            weights,
-            inj,
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            codec=codec,
-        )
+        graph, slots = build_cholesky_graph(matrix, chk, codec, inj)
         executor = DagExecutor(graph, workers=cfg.dag_workers)
         try:
             runtime = executor.run()

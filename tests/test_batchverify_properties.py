@@ -62,14 +62,11 @@ def _run_path(
         if path == "verifier":
             v.verify_batch(keys, "prop")
         elif path == "dag":
-            _verify_body(matrix, chk, keys, v.weights, v.rtol, v.atol, v.stats, v.codec)()
+            _verify_body(matrix, chk, keys, v.codec, v.stats)()
         else:
             v.stats.batches += 1
             v.stats.tiles_verified += len(keys)
-            check_per_tile(
-                matrix, chk, keys, v.weights,
-                rtol=v.rtol, atol=v.atol, stats=v.stats, codec=v.codec,
-            )
+            check_per_tile(matrix, chk, keys, v.codec, stats=v.stats)
     except UnrecoverableError as exc:
         raised = (type(exc).__name__, exc.args)
     return matrix.array.copy(), chk.array.copy(), v.stats, raised
@@ -195,12 +192,9 @@ class TestUnrecoverableParity:
                 if path == "verifier":
                     v.verify_batch(keys, "t")
                 elif path == "dag":
-                    _verify_body(matrix, chk, keys, v.weights, v.rtol, v.atol, v.stats, v.codec)()
+                    _verify_body(matrix, chk, keys, v.codec, v.stats)()
                 else:
-                    check_per_tile(
-                        matrix, chk, keys, v.weights,
-                        rtol=v.rtol, atol=v.atol, stats=v.stats, codec=v.codec,
-                    )
+                    check_per_tile(matrix, chk, keys, v.codec, stats=v.stats)
             out.append(err.value.args)
         assert out[0] == out[1] == out[2]
 

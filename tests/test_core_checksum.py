@@ -6,25 +6,25 @@ import pytest
 from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
 from repro.core.checksum import encode_blocked_host, encode_strip, issue_encoding
-from repro.core.weights import locator_weights, weight_matrix
+from repro.core.multierror import vandermonde_weights
 
 
 class TestWeights:
     def test_shape_and_values(self):
-        w = weight_matrix(4)
+        w = vandermonde_weights(4, 2)
         np.testing.assert_array_equal(w[0], [1, 1, 1, 1])
         np.testing.assert_array_equal(w[1], [1, 2, 3, 4])
 
     def test_read_only(self):
-        w = weight_matrix(8)
+        w = vandermonde_weights(8, 2)
         with pytest.raises(ValueError):
             w[0, 0] = 2.0
 
     def test_cached(self):
-        assert weight_matrix(16) is weight_matrix(16)
+        assert vandermonde_weights(16, 2) is vandermonde_weights(16, 2)
 
     def test_locator(self):
-        np.testing.assert_array_equal(locator_weights(3), [1, 2, 3])
+        np.testing.assert_array_equal(vandermonde_weights(3, 2)[1], [1, 2, 3])
 
 
 class TestEncodeStrip:

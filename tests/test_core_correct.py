@@ -180,7 +180,7 @@ class TestNonFiniteTolerance:
         v.matrix.tile_view((2, 1))[7, 0] = value
         keys = [(i, j) for j in range(4) for i in range(j, 4)]
         with np.errstate(invalid="ignore"):
-            flagged = detect(v.matrix, v.chk, keys, v.weights, rtol=v.rtol, atol=v.atol)
+            flagged = detect(v.matrix, v.chk, keys, v.codec)
         assert flagged == [(2, 1)]
 
     @pytest.mark.parametrize(
@@ -224,17 +224,27 @@ class TestNanChecksum:
         assert (v.stats.data_corrections, v.stats.checksum_corrections) == (1, 1)
         np.testing.assert_allclose(a, pristine, atol=1e-9)
 
-    def test_nan_strip_element_restarts_the_multi_error_code(self, tardis):
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("last", [False, True], ids=["row0", "last_row"])
+    def test_nan_strip_element_is_refreshed_at_every_checksum_count(self, tardis, r, last):
+        """The r = 2 rule holds for every r: one checksum row out of
+        tolerance is its own element, refreshed from the data."""
         ctx = tardis.context(numerics="real")
         a = random_spd(32, rng=0)
+        pristine = a.copy()
         matrix = ctx.alloc_matrix(32, 8, data=a)
-        chk = ctx.alloc_checksums(32, 8, rows_per_tile=3)
-        chk.array[:] = encode_blocked_host(BlockedMatrix(a, 8), n_checksums=3)
+        chk = ctx.alloc_checksums(32, 8, rows_per_tile=r)
+        chk.array[:] = encode_blocked_host(BlockedMatrix(a, 8), n_checksums=r)
+        encoded = chk.array.copy()
         v = Verifier(ctx, matrix, chk)
-        chk.strip(2, 1)[2, 3] = np.nan
-        with pytest.raises(UnrecoverableError, match="syndrome is not finite") as err:
-            v.verify_batch(v.lower_keys(), "t")
-        assert err.value.block == (2, 1)
+        chk.strip(2, 1)[r - 1 if last else 0, 3] = np.nan
+        v.verify_batch(v.lower_keys(), "t")
+        assert (v.stats.checksum_corrections, v.stats.data_corrections) == (1, 0)
+        np.testing.assert_array_equal(chk.array, encoded)
+        matrix.tile_view((2, 1))[5, 3] += 1000.0
+        v.verify_batch(v.lower_keys(), "t")
+        assert v.stats.corrected_sites == [((2, 1), 5, 3)]
+        np.testing.assert_allclose(a, pristine, atol=1e-9)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_locator_restarts(self, tardis, value):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multierror import MultiErrorCodec, encode, vandermonde_weights
-from repro.core.weights import weight_matrix
 from repro.util.exceptions import UnrecoverableError
 
 
@@ -18,7 +17,8 @@ def make(b=16, m=4, rng=0):
 
 class TestWeights:
     def test_reduces_to_paper_weights_for_two(self):
-        np.testing.assert_array_equal(vandermonde_weights(8, 2), weight_matrix(8))
+        paper = np.stack([np.ones(8), np.arange(1.0, 9.0)])  # v₁ = 1, v₂ = 1..B
+        np.testing.assert_array_equal(vandermonde_weights(8, 2), paper)
 
     def test_vandermonde_rows(self):
         v = vandermonde_weights(4, 3)

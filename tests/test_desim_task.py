@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core import SCHEMES
 from repro.desim.resource import Resource
 from repro.desim.task import Task, TaskGraph
+from repro.hetero.machine import Machine
 from repro.util.exceptions import ValidationError
 
 
@@ -35,8 +37,10 @@ class TestTask:
         t = Task("x", resource=Resource("r"), duration=4.0, util=0.25)
         assert t.work == pytest.approx(1.0)
 
-    def test_unique_ids(self):
-        assert Task("a").tid != Task("b").tid
+    def test_ids_count_per_graph(self):
+        g1, g2 = TaskGraph(), TaskGraph()
+        assert [g1.new(n).tid for n in "abc"] == [0, 1, 2]
+        assert g2.add(Task("d")).tid == 0
 
 
 class TestTaskGraph:
@@ -56,3 +60,17 @@ class TestTaskGraph:
         a, b = g.new("a"), g.new("b")
         bar = g.barrier("bar", [a, b])
         assert bar.kind == "barrier" and set(bar.deps) == {a, b}
+
+
+class TestRunsNumberTasksAlike:
+    @pytest.mark.parametrize("scheme", ["offline", "online", "enhanced"])
+    def test_identical_shadow_runs_give_equal_timelines(self, scheme):
+        """Task ids count per graph, so a second identical factorization in
+        the same process reproduces every span, tid and dep included."""
+        machine = Machine.preset("tardis")
+        first, second = (
+            SCHEMES[scheme](machine, n=2048, block_size=256, numerics="shadow")
+            for _ in range(2)
+        )
+        assert first.timeline.spans == second.timeline.spans
+        assert min(s.tid for s in first.timeline) == 0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.blas import dense
 from repro.blas.spd import random_spd
 from repro.core.checksum import encode_strip
-from repro.core.weights import weight_matrix
+from repro.core.multierror import vandermonde_weights
 from repro.desim.engine import Engine
 from repro.desim.resource import Resource
 from repro.desim.task import TaskGraph
@@ -83,17 +83,17 @@ class TestChecksumAlgebra:
         rng = np.random.default_rng(seed)
         ell = np.linalg.cholesky(random_spd(b, rng=seed + 1))
         panel = rng.standard_normal((rows * b, b))
-        strip = weight_matrix(rows * b)[:, :] @ panel  # use a tall encode
+        strip = vandermonde_weights(rows * b, 2) @ panel  # use a tall encode
         dense.trsm_right_lt(panel, ell)
         dense.trsm_right_lt(strip, ell)
         np.testing.assert_allclose(
-            strip, weight_matrix(rows * b) @ panel, rtol=1e-8, atol=1e-8
+            strip, vandermonde_weights(rows * b, 2) @ panel, rtol=1e-8, atol=1e-8
         )
 
 
 def encode_strip_any(a: np.ndarray) -> np.ndarray:
     """Encode a non-square panel (weights sized to its row count)."""
-    return weight_matrix(a.shape[0]) @ a
+    return vandermonde_weights(a.shape[0], 2) @ a
 
 
 # ---------------------------------------------------------------------------

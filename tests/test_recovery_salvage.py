@@ -145,6 +145,29 @@ class TestRepairAndResume:
         with pytest.raises(SalvageError):
             repair_salvage(salvage, job_matrix(job))
 
+    def test_corrupt_strip_element_is_refreshed_like_the_run(self, tardis):
+        """Salvage decodes an erasure-free tile with the in-run decoder: a lone
+        corrupt strip element is refreshed, not escalated to a restart."""
+        job = _job()
+        buf, layout, ref = _published(job, tardis)
+        salvage = read_snapshot(buf, layout)
+        salvage.chk[2 * 2, 1 * _B + 8] += 5.0  # tile (2, 1), checksum row 0
+        stats = repair_salvage(salvage, job_matrix(job))
+        assert (stats.refreshed_checksums, stats.corrected_errors) == (1, 0)
+        assert stats.corrected_sites == []
+        out = execute_resume(job, tardis, salvage)
+        assert np.array_equal(out.factor, ref)
+
+    def test_resumed_job_reports_one_site_per_corrected_element(self, tardis):
+        job = _job()
+        buf, layout, ref = _published(job, tardis)
+        salvage = read_snapshot(buf, layout)
+        salvage.matrix[2 * _B + 5, 1 * _B + 8] += 100.0  # tile (2, 1), row 5, col 8
+        out = execute_resume(job, tardis, salvage)
+        assert out.corrected_sites == [((2, 1), 5, 8)]
+        assert out.corrected_errors == 1
+        np.testing.assert_allclose(np.tril(out.factor), np.tril(ref), atol=1e-8)
+
     def test_resumed_factor_passes_residual(self, tardis):
         job = _job()
         buf, layout, _ = _published(job, tardis)

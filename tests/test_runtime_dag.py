@@ -20,7 +20,7 @@ import pytest
 from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
 from repro.core import AbftConfig, enhanced_potrf
-from repro.core.multierror import vandermonde_weights
+from repro.core.multierror import MultiErrorCodec
 from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
@@ -95,11 +95,9 @@ class TestCholeskyGraphShape:
     def graph(self, a0):
         matrix = DeviceMatrix("A", N, BS, BlockedMatrix(a0.copy(), BS))
         chk = DeviceChecksums.zeros("chk", N, BS, real=True)
-        weights = vandermonde_weights(BS, 2)
-        encode_strips(matrix, chk, weights)
-        g, slots = build_cholesky_graph(
-            matrix, chk, weights, no_faults(), rtol=1e-9, atol=1e-11
-        )
+        codec = MultiErrorCodec(BS, 2, atol=1e-11)
+        encode_strips(matrix, chk, codec.weights)
+        g, slots = build_cholesky_graph(matrix, chk, codec, no_faults())
         return g
 
     def test_task_census(self, graph):
