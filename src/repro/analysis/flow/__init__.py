@@ -17,7 +17,6 @@ three missing ingredients and the checkers built on them:
   file set: function definitions, name-resolved call edges, blocking-sink
   sites, thread-entry references (``asyncio.to_thread`` / ``Thread(target=``
   / ``Process(target=`` / pool ``submit``), and per-call-site lock context.
-  Builds are cacheable keyed on a source digest (the CI gate caches them).
 
 Checkers (registered in the lint registry under the ``flow`` tier):
 

@@ -1,4 +1,4 @@
-"""Module-level call graph over a file set, with a source-keyed cache.
+"""Module-level call graph over a file set.
 
 Name resolution is *receiver-typed where possible, conservative
 otherwise*.  The extractor records the receiver text of every call site
@@ -30,21 +30,15 @@ concurrency checkers need in one pass per function:
 - **lock context per call site** — so a helper whose *every* caller holds
   the same lock can inherit that guard (the ``_do_locked`` idiom).
 
-Builds serialize to JSON and are cached keyed on the sha256 of the sorted
-``(path, source)`` pairs — the CI flow job wires that cache through
-``actions/cache`` so unchanged trees skip extraction entirely.
+A build over the whole package takes about 0.3 s on a 2-vCPU host, so
+every run rebuilds it rather than caching it.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-
-from repro.util.exceptions import ValidationError
+from dataclasses import dataclass, field
 
 __all__ = [
     "AttrWrite",
@@ -53,10 +47,7 @@ __all__ = [
     "FunctionInfo",
     "Sink",
     "build_call_graph",
-    "source_digest",
 ]
-
-CACHE_VERSION = 2
 
 #: Attribute methods that mutate their receiver in place.
 _MUTATORS = {
@@ -172,7 +163,6 @@ class CallGraph:
     """Functions indexed by bare name, plus receiver-type evidence."""
 
     functions: list[FunctionInfo]
-    digest: str
     classes: dict[str, dict[str, str]] = field(default_factory=dict)  # class -> attr -> type
     bases: dict[str, list[str]] = field(default_factory=dict)  # class -> base classes
 
@@ -271,52 +261,6 @@ class CallGraph:
             # cases same-named methods of unrelated classes are noise.
             return owned
         return [f for f in cands if f.owner is not None]
-
-    # ── serialization ───────────────────────────────────────────────────
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": CACHE_VERSION,
-                "digest": self.digest,
-                "classes": self.classes,
-                "bases": self.bases,
-                "functions": [asdict(fn) for fn in self.functions],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CallGraph":
-        raw = json.loads(text)
-        if raw.get("version") != CACHE_VERSION:
-            raise ValidationError(
-                f"call-graph cache version {raw.get('version')!r} != {CACHE_VERSION}"
-            )
-        functions = []
-        for entry in raw["functions"]:
-            entry = dict(entry)
-            entry["calls"] = [CallSite(**c) for c in entry["calls"]]
-            entry["sinks"] = [Sink(**s) for s in entry["sinks"]]
-            entry["attr_writes"] = [AttrWrite(**w) for w in entry["attr_writes"]]
-            functions.append(FunctionInfo(**entry))
-        return cls(
-            functions=functions,
-            digest=raw["digest"],
-            classes=raw.get("classes", {}),
-            bases=raw.get("bases", {}),
-        )
-
-
-def source_digest(sources: list[tuple[str, str]]) -> str:
-    """sha256 over the sorted (path, source) pairs — the cache key."""
-    h = hashlib.sha256()
-    for path, text in sorted(sources):
-        h.update(path.encode())
-        h.update(b"\x00")
-        h.update(text.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
 
 
 def _attr_chain(node: ast.expr) -> str | None:
@@ -713,25 +657,12 @@ def _scan_source(
     return functions, class_types, class_bases
 
 
-def build_call_graph(
-    sources: list[tuple[str, str]],
-    cache_dir: Path | None = None,
-) -> CallGraph:
-    """Build (or load from *cache_dir*) the call graph for *sources*.
+def build_call_graph(sources: list[tuple[str, str]]) -> CallGraph:
+    """Build the call graph for *sources*.
 
     *sources* are ``(path, text)`` pairs; paths are used verbatim in
     qualnames and findings, so pass them repo-relative.
     """
-    digest = source_digest(sources)
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / f"callgraph-{digest[:24]}.json"
-        if cache_file.is_file():
-            try:
-                return CallGraph.from_json(cache_file.read_text(encoding="utf-8"))
-            except (ValidationError, ValueError, KeyError, TypeError):
-                pass  # stale/foreign cache: rebuild below
-
     functions: list[FunctionInfo] = []
     classes: dict[str, dict[str, str]] = {}
     bases: dict[str, list[str]] = {}
@@ -748,9 +679,4 @@ def build_call_graph(
                 slot.setdefault(attr, typ)
         for cls, parents in class_bases.items():
             bases.setdefault(cls, parents)
-    graph = CallGraph(functions=functions, digest=digest, classes=classes, bases=bases)
-
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(graph.to_json(), encoding="utf-8")
-    return graph
+    return CallGraph(functions=functions, classes=classes, bases=bases)

@@ -656,16 +656,6 @@ rule(
 # Driver -----------------------------------------------------------------------
 
 
-def _suppressed(line: str, rule_id: str) -> bool:
-    match = _NOQA_RE.search(line)
-    if not match:
-        return False
-    codes = match.group("codes")
-    if codes is None:
-        return True  # bare "# noqa" silences everything
-    return rule_id in {c.strip().upper() for c in codes.split(",")}
-
-
 @dataclass
 class _NoqaDirective:
     """One real ``# noqa`` comment (found by tokenizing, so noqa text in
@@ -792,7 +782,6 @@ def run_lint(
     paths: Iterable[str | Path],
     select: Iterable[str] | None = None,
     tiers: tuple[str, ...] = ("classic",),
-    cache_dir: Path | None = None,
     report_unused_noqa: bool = True,
 ) -> list[Finding]:
     """Run the registered rules over *paths* (files or directories).
@@ -800,9 +789,8 @@ def run_lint(
     *tiers* picks which rule tiers execute: ``("classic",)`` is the
     per-file AST pass, ``("flow",)`` the whole-program dataflow pass
     (``--flow`` adds it in the CLI).  *select* further restricts to the
-    given rule ids.  *cache_dir* persists the flow tier's call-graph
-    build keyed on a source digest.  Files that fail to parse are
-    reported as ``parse-error`` findings rather than raising.
+    given rule ids.  Files that fail to parse are reported as
+    ``parse-error`` findings rather than raising.
 
     Suppression accounting runs last: any explicit noqa code belonging to
     a rule that executed but suppressed nothing becomes a ``noqa-unused``
@@ -865,7 +853,7 @@ def run_lint(
         if "RPL101" in active_ids:
             raw.extend(check_lifecycle(parsed))
         if "RPL102" in active_ids or "RPL103" in active_ids:
-            graph = build_call_graph(sources, cache_dir=cache_dir)
+            graph = build_call_graph(sources)
             if "RPL102" in active_ids:
                 raw.extend(check_blocking(graph))
             if "RPL103" in active_ids:

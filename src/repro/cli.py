@@ -233,8 +233,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     paths = args.paths or [Path(__file__).parent]
     tiers = ("classic", "flow") if args.flow else ("classic",)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    findings = run_lint(paths, select=args.select, tiers=tiers, cache_dir=cache_dir)
+    findings = run_lint(paths, select=args.select, tiers=tiers)
     fmt = args.format or ("json" if args.json else "text")
     if fmt == "sarif":
         from repro.analysis.sarif import render_sarif
@@ -893,10 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text; sarif emits SARIF 2.1.0)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output (same as --format json)")
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="directory for the call-graph cache (keyed on source digest)",
-    )
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("report", help="consolidated evaluation report")

@@ -9,8 +9,8 @@ real limits explicit:
   located and corrected (2t syndromes are needed for t unknown locations —
   the paper's r = 2 case, one error located by δ₂/δ₁, is t = 1);
 - up to **r − 1 errors at known rows** (erasures — e.g. rows whose
-  snapshot CRC failed) are corrected by solving a Vandermonde system
-  (:meth:`MultiErrorCodec.correct_erasures`, :meth:`~MultiErrorCodec.correct_mixed`);
+  snapshot CRC failed) are corrected, the reading under which the paper's
+  claim is exact; k erasures and t unknown errors fit while k + 2t ≤ r;
 - anything beyond is *detected* and escalates to a restart rather than a
   guess.
 
@@ -22,17 +22,23 @@ power sums ``S_t = Σ e_i · r_iᵗ``.
 **Decoding** (:meth:`MultiErrorCodec.verify_and_correct`, the one decoder
 of both engines and of salvage).  A checksum element is out of tolerance
 unless ``|δ| <= rtol·(W·|tile|) + atol`` (:meth:`MultiErrorCodec.tolerance`,
-the one detection threshold), so a NaN element is out.  Per flagged column:
+the one detection threshold), so a NaN element is out, and a tolerance
+that is not finite restarts.  Erased rows are zeroed and solved from the
+first k stored checksums; the erasure locator ``Γ(x) = Π(x − xᵢ)`` over
+them folds their unknown values out of the syndromes, leaving r − k
+*modified* syndromes that are power sums of the unknown errors alone
+(with k = 0 they are the syndromes).  Per flagged column:
 
 ====================================  =====================================
-exactly one checksum row out          that strip element is corrupt:
-                                      refresh it from the data
+exactly one checksum row out, and no  that strip element is corrupt:
+erased rows                           refresh it from the data
 any other flagged column              locate the fewest errors, at most
-                                      ⌊r/2⌋: one error at row δ₂/δ₁ (within
+                                      ⌊(r − k)/2⌋, none at an erased row:
+                                      one error at row S₁/S₀ (within
                                       :data:`ROW_SLACK` of an integer),
                                       t ≥ 2 at the roots of the Prony
                                       locator polynomial
-each located element                  reconstructed from the stored
+erased and located elements           reconstructed from the stored
                                       checksums and the column's other
                                       elements
 ====================================  =====================================
@@ -53,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -83,10 +90,6 @@ def encode_strip(tile: np.ndarray, n_checksums: int = 2) -> np.ndarray:
     bit-for-bit over stacked batches.
     """
     return vandermonde_weights(tile.shape[0], n_checksums) @ tile
-
-
-#: Historical codec-facing name for :func:`encode_strip`.
-encode = encode_strip
 
 
 #: Tolerated distance of a located row from an integer: the paper's δ₂/δ₁
@@ -141,10 +144,10 @@ class MultiErrorCodec:
         return self.n_checksums - 1
 
     def mixed_capacity(self, k_erasures: int) -> int:
-        """Unknown errors correctable per column alongside *k* erasure rows.
+        """Unknown errors correctable per column alongside *k* erased rows.
 
-        Each known erasure consumes one checksum; each unknown error needs
-        two (locate + magnitude): k + 2t ≤ m+1.
+        Each erased row consumes one checksum; each unknown error needs
+        two (locate + magnitude): k + 2t ≤ r.
         """
         require(k_erasures >= 0, "negative erasure count")
         return max(0, (self.n_checksums - k_erasures) // 2)
@@ -170,23 +173,35 @@ class MultiErrorCodec:
         tol += self.atol
         return tol
 
-    # -- unknown-location correction -------------------------------------------
+    # -- decoding ----------------------------------------------------------------
 
     def verify_and_correct(
-        self, tile: np.ndarray, strip: np.ndarray
+        self, tile: np.ndarray, strip: np.ndarray, erased: Sequence[int] = ()
     ) -> list[ColumnCorrection]:
         """Detect, locate and correct one tile against its strip, in place.
 
+        *erased* lists the rows (0-based) whose values are lost, such as
+        rows whose snapshot CRC failed; they are rebuilt in every column.
         Returns one :class:`ColumnCorrection` per flagged column (the
         rules are in the module docstring); raises
-        :class:`UnrecoverableError` when a column cannot be explained by a
-        corrupt checksum element or by at most :attr:`correctable_unknown`
-        errors, or when the corrected tile fails its confirm.
+        :class:`UnrecoverableError` for more than :attr:`correctable_erasures`
+        erased rows, when a column cannot be explained by a corrupt
+        checksum element or by at most ⌊(r − k)/2⌋ errors, or when the
+        corrected tile fails its confirm.
         """
         require(
             strip.shape == (self.n_checksums, tile.shape[1]),
             "strip shape mismatch",
         )
+        erased = list(erased)
+        k = len(erased)
+        require(len(set(erased)) == k, "duplicate erased rows")
+        if k > self.correctable_erasures:
+            raise UnrecoverableError(
+                f"{k} erased rows exceed the {self.correctable_erasures}-erasure "
+                f"capacity of {self.n_checksums} checksums"
+            )
+        tile[erased] = 0.0
         fresh = self.encode(tile)
         tol = self.tolerance(np.abs(tile))
         if not np.isfinite(tol).all():
@@ -195,42 +210,57 @@ class MultiErrorCodec:
             # element would pass as clean or be blamed on a checksum row.
             raise UnrecoverableError("checksum recalculation is not finite")
         syndromes = fresh - strip
+        if k:
+            # With the erased rows zeroed, −S_t (t < k) is their share of
+            # stored checksum t: one k×k solve rebuilds them in every
+            # column, and a flagged column is rebuilt again below.
+            tile[erased] = np.linalg.solve(self.weights[:k, erased], -syndromes[:k])
+            # Γ(x) = Σ gamma[c]·xᶜ vanishes at every erased row, so the folded
+            # syndromes Σ_c gamma[c]·S_{u+c} hold the unknown errors alone.
+            gamma = np.poly(np.add(erased, 1.0))[::-1]
+            fold = np.zeros((self.n_checksums - k, self.n_checksums))
+            for u in range(self.n_checksums - k):
+                fold[u, u : u + k + 1] = gamma
+            syndromes, tol = fold @ syndromes, np.abs(fold) @ tol
         bad = ~(np.abs(syndromes) <= tol)
         corrections: list[ColumnCorrection] = []
         for col in np.flatnonzero(bad.any(axis=0)).tolist():
             out = np.flatnonzero(bad[:, col])
-            if out.size == 1:
+            if out.size == 1 and not k:
                 # A data error moves every syndrome; one alone is its own
-                # checksum element (a storage error in the strip).
+                # checksum element (a storage error in the strip).  Folded
+                # syndromes mix the strip rows, so this needs k = 0.
                 row = int(out[0])
                 strip[row, col] = fresh[row, col]
                 corrections.append(ColumnCorrection(col, (), (), refreshed=(row,)))
                 continue
-            rows = self._locate(syndromes[:, col], tol[:, col], col)
+            rows = self._locate(syndromes[:, col], tol[:, col], col, erased)
             corrupt = tile[rows, col]
-            self._reconstruct(tile, strip, col, rows)
+            self._reconstruct(tile, strip, col, [*erased, *rows])
             corrections.append(
                 ColumnCorrection(
                     col, tuple(rows), tuple((corrupt - tile[rows, col]).tolist())
                 )
             )
-        if corrections and not (
+        if (corrections or k) and not (
             np.abs(self.encode(tile) - strip) <= self.tolerance(np.abs(tile))
         ).all():
             raise UnrecoverableError("corruption persists after correction")
         return corrections
 
-    def _locate(self, s: np.ndarray, tol: np.ndarray, col: int) -> list[int]:
-        """Rows (0-based) of the fewest errors, at most ⌊r/2⌋, that explain
-        one column's syndromes *s*.
+    def _locate(
+        self, s: np.ndarray, tol: np.ndarray, col: int, erased: Sequence[int]
+    ) -> list[int]:
+        """Rows (0-based) of the fewest errors, at most ⌊len(s)/2⌋ and none
+        of them *erased*, that explain one column's (modified) syndromes *s*.
 
         The syndromes past the first 2t must agree with a t-error
         candidate to within 1e-8 of their size.  That only chooses t: the
         rounding of a huge error can hide a small one here, and the
         confirm after reconstruction catches it.
         """
-        reason = ""
-        for t in range(1, self.correctable_unknown + 1):
+        reason = "every checksum is spent on the erased rows"
+        for t in range(1, s.shape[0] // 2 + 1):
             if t == 1:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = s[1] / s[0]  # S₀ may be clean when r ≥ 3
@@ -251,7 +281,11 @@ class MultiErrorCodec:
                     reason = f"syndromes not explainable by <= {t} errors"
                     continue
                 rows, mags = got
-            powers = np.arange(2 * t, self.n_checksums, dtype=np.float64)
+            if not set(erased).isdisjoint(rows.tolist()):
+                # Γ vanishes at an erased row: an "error" there is aliasing.
+                reason = "an error located at an erased row"
+                continue
+            powers = np.arange(2 * t, s.shape[0], dtype=np.float64)
             explained = ((rows[None, :] + 1.0) ** powers[:, None]) @ mags
             rest = s[2 * t :]
             if (np.abs(rest - explained) <= np.maximum(tol[2 * t :], 1e-8 * np.abs(rest))).all():
@@ -262,8 +296,8 @@ class MultiErrorCodec:
     def _reconstruct(
         self, tile: np.ndarray, strip: np.ndarray, col: int, rows: list[int]
     ) -> None:
-        """Solve the located elements from the first ``len(rows)`` stored
-        checksums minus the column's other elements.
+        """Solve the erased and located elements from the first
+        ``len(rows)`` stored checksums minus the column's other elements.
 
         No corrupt value enters the sums, so the true values come back
         with no cancellation even when the corruption is astronomically
@@ -275,190 +309,6 @@ class MultiErrorCodec:
         w = self.weights[: len(rows)]
         rhs = strip[: len(rows), col] - (w[:, keep] * tile[keep, col]).sum(axis=1)
         tile[rows, col] = np.linalg.solve(w[:, rows], rhs)
-
-    def _recheck(
-        self, tile: np.ndarray, strip: np.ndarray, slack: np.ndarray | None = None
-    ) -> None:
-        """Post-correction consistency gate.
-
-        *slack* (per column) widens the tolerance by a few ulps of the
-        syndrome magnitude the correction just removed: subtracting an
-        O(S) error leaves O(ε·S) float residue, which must not read as
-        "correction failed" when the data itself is O(1).  A genuine
-        miscorrection leaves O(S) residue — far above the slack.
-        """
-        fresh2 = self.encode(tile)
-        tol2 = self.tolerance(np.abs(tile))
-        if slack is not None:
-            tol2 = tol2 + slack[None, :]
-        if (np.abs(fresh2 - strip) > tol2).any():
-            raise UnrecoverableError(
-                "multi-error correction did not restore consistency"
-            )
-
-    @staticmethod
-    def _syndrome_slack(syndromes: np.ndarray) -> np.ndarray:
-        """Per-column recheck slack: ~64 ulps of the corrected magnitude."""
-        return 64.0 * np.finfo(np.float64).eps * np.abs(syndromes).max(axis=0)
-
-    # -- erasure correction ------------------------------------------------------
-
-    def correct_erasures(
-        self,
-        tile: np.ndarray,
-        strip: np.ndarray,
-        rows: list[int],
-        extra_slack: np.ndarray | None = None,
-    ) -> int:
-        """Correct errors at *known* rows (0-based), every column, in place.
-
-        Solves the ``len(rows)``-unknown Vandermonde system per column from
-        the syndromes; up to :attr:`correctable_erasures` rows.  Returns
-        the number of elements changed beyond tolerance.  *extra_slack*
-        (per column) widens the post-solve recheck — the mixed decode
-        passes the original syndromes' ulp budget through, since its
-        unknown-error subtraction happened before this call.
-        """
-        k = len(rows)
-        require(0 < k <= self.correctable_erasures, "too many erasure rows")
-        require(len(set(rows)) == k, "duplicate erasure rows")
-        locs = np.asarray(rows, dtype=np.float64) + 1.0
-        vand = locs[None, :] ** np.arange(self.n_checksums)[:, None]
-        syndromes = self.encode(tile) - strip
-        # least-squares: m+1 equations, k ≤ m unknowns per column
-        mags, *_ = np.linalg.lstsq(vand, syndromes, rcond=None)
-        tol = self.tolerance(np.abs(tile))
-        changed = int((np.abs(mags) > tol[0][None, :]).sum())
-        for i, row in enumerate(rows):
-            tile[row, :] -= mags[i]
-        # One step of iterative refinement: the first solve's rounding
-        # scales with the syndrome magnitude (an astronomically large
-        # corruption leaves O(ε·S) residue spread over the reconstructed
-        # rows), so re-solve against the now-tiny residual syndromes.
-        resid = self.encode(tile) - strip
-        polish, *_ = np.linalg.lstsq(vand, resid, rcond=None)
-        for i, row in enumerate(rows):
-            tile[row, :] -= polish[i]
-        slack = self._syndrome_slack(syndromes)
-        if extra_slack is not None:
-            slack = np.maximum(slack, extra_slack)
-        self._recheck(tile, strip, slack)
-        return changed
-
-    # -- errors-and-erasures decoding -----------------------------------------------
-
-    def correct_mixed(
-        self, tile: np.ndarray, strip: np.ndarray, rows: list[int]
-    ) -> tuple[int, list[ColumnCorrection]]:
-        """Correct *known*-row erasures plus unknown-row errors, in place.
-
-        The classic errors-and-erasures split of the m+1 checksums: the
-        erasure locator ``Γ(x) = Π(x − x_i)`` over the *k* known rows
-        annihilates their (arbitrary) contributions from the syndromes,
-        leaving ``m+1−k`` *modified* syndromes ``T_u = Σ_c g_c·S_{u+c}``
-        that are pure power sums of the unknown errors with pseudo-
-        magnitudes ``μ = e·Γ(y)``.  Prony decoding on T locates up to
-        ``⌊(m+1−k)/2⌋`` unknown errors; the erased rows are then solved as
-        usual.  Total capacity per column: ``k + 2t ≤ m+1``.
-
-        Returns ``(erased elements changed, unknown-error corrections)``;
-        raises :class:`UnrecoverableError` when a column's modified
-        syndromes are not explainable within capacity.
-        """
-        k = len(rows)
-        require(len(set(rows)) == k, "duplicate erasure rows")
-        require(
-            strip.shape == (self.n_checksums, tile.shape[1]),
-            "strip shape mismatch",
-        )
-        if k > self.correctable_erasures:
-            # A decode outcome, not caller misuse: the loss pattern simply
-            # exceeds what m+1 checksums can reconstruct.
-            raise UnrecoverableError(
-                f"{k} erased rows exceed the {self.correctable_erasures}-erasure "
-                f"capacity of {self.n_checksums} checksums"
-            )
-        if k == 0:
-            return 0, self.verify_and_correct(tile, strip)
-        # Γ(x) coefficients, ascending: Γ(x) = Σ_c g[c]·x^c.
-        locator = np.array([1.0])
-        for row in rows:
-            locator = np.convolve(locator, [-(row + 1.0), 1.0])
-        n_mod = self.n_checksums - k
-        t_max = n_mod // 2
-        syndromes = self.encode(tile) - strip
-        tol = self.tolerance(np.abs(tile))
-        t_mod = np.zeros((n_mod, tile.shape[1]))
-        tol_mod = np.zeros((n_mod, tile.shape[1]))
-        for u in range(n_mod):
-            for c, g_c in enumerate(locator):
-                t_mod[u] += g_c * syndromes[u + c]
-                tol_mod[u] += abs(g_c) * tol[u + c]
-        corrections: list[ColumnCorrection] = []
-        bad_cols = np.nonzero((np.abs(t_mod) > tol_mod).any(axis=0))[0]
-        for col in bad_cols:
-            corr = self._decode_mixed_column(
-                t_mod[:, col], tol_mod[:, col], locator, rows, int(col), t_max
-            )
-            for row, mag in zip(corr.rows, corr.magnitudes):
-                tile[row, col] -= mag
-            corrections.append(corr)
-        changed = self.correct_erasures(
-            tile, strip, list(rows), extra_slack=self._syndrome_slack(syndromes)
-        )
-        # Per-column polish: the Prony magnitudes carry O(ε·S) rounding
-        # that the whole-row erasure solve cannot absorb — the located
-        # rows sit outside its span.  One combined solve over
-        # erased ∪ located rows (k + t ≤ m unknowns, m+1 equations)
-        # against the residual syndromes removes it.
-        if corrections:
-            powers = np.arange(self.n_checksums, dtype=np.float64)[:, None]
-            resid = self.encode(tile) - strip
-            for corr in corrections:
-                combined = sorted(set(rows) | set(corr.rows))
-                locs = np.asarray(combined, dtype=np.float64) + 1.0
-                vand = locs[None, :] ** powers
-                delta, *_ = np.linalg.lstsq(vand, resid[:, corr.column], rcond=None)
-                for i, row in enumerate(combined):
-                    tile[row, corr.column] -= delta[i]
-        return changed, corrections
-
-    def _decode_mixed_column(
-        self,
-        t_mod: np.ndarray,
-        tol: np.ndarray,
-        locator: np.ndarray,
-        erased: list[int],
-        col: int,
-        t_max: int,
-    ) -> ColumnCorrection:
-        """Prony decoding on the modified syndromes; smallest count wins."""
-        erased_set = set(erased)
-        powers = np.arange(t_mod.shape[0], dtype=np.float64)
-        for k in range(1, t_max + 1):
-            got = self._try_k_errors(t_mod, k)
-            if got is None:
-                continue
-            found_rows, pseudo = got
-            if any(int(r) in erased_set for r in found_rows):
-                continue  # an "unknown" error at an erased row is aliasing
-            explained = np.zeros_like(t_mod)
-            for r, e in zip(found_rows, pseudo):
-                explained += e * (r + 1.0) ** powers
-            slack = np.maximum(tol, 1e-8 * np.abs(t_mod) + self.atol)
-            if not (np.abs(t_mod - explained) <= slack).all():
-                continue
-            gamma = np.polyval(locator[::-1], found_rows + 1.0)
-            mags = pseudo / gamma
-            return ColumnCorrection(
-                column=col,
-                rows=tuple(int(r) for r in found_rows),
-                magnitudes=tuple(float(e) for e in mags),
-            )
-        raise UnrecoverableError(
-            f"column {col}: modified syndromes not explainable by "
-            f"<= {t_max} unknown errors beyond {len(erased)} erasures"
-        )
 
     # -- syndrome decoding ----------------------------------------------------------
 

@@ -10,8 +10,8 @@ scribbled-on shared-memory segment.  This package closes that loop:
   then the epoch word last);
 - :mod:`repro.recovery.salvage` — parent-side classification of what
   survived: CRC-failing rows become *known-location* erasures, repaired
-  per tile by the Vandermonde erasure solve
-  (:meth:`~repro.core.multierror.MultiErrorCodec.correct_mixed`);
+  per tile by the runs' one decoder with those rows erased
+  (:meth:`~repro.core.multierror.MultiErrorCodec.verify_and_correct`);
 - :mod:`repro.recovery.decision` — the forward-vs-backward cost model
   (reconstruct + resume vs. restart from scratch), following the
   PCG forward/backward-recovery analysis;

@@ -12,11 +12,11 @@ shows up in two independent ways:
   lands in the snapshot with a valid CRC).  Tile-level verification
   against the maintained strips finds and corrects these.
 
-Both decode through one call per tile:
-:meth:`~repro.core.multierror.MultiErrorCodec.correct_mixed` solves the
-known-row erasures and locates up to ``⌊(m+1−k)/2⌋`` unknown errors on
-top.  A tile with no erased rows goes through the in-run decoder, so a
-lone corrupt strip element is refreshed from the data, as in the run.
+Both decode through the run's one decoder, one call per tile:
+:meth:`~repro.core.multierror.MultiErrorCodec.verify_and_correct` with
+the tile's erased rows rebuilds them and locates up to ``⌊(r−k)/2⌋``
+unknown errors on top.  A tile with no erased rows decodes exactly as in
+the run, so a lone corrupt strip element is refreshed from the data.
 Anything beyond capacity raises — the caller escalates to a full
 restart; a silently wrong factor is never produced.
 """
@@ -109,7 +109,7 @@ class RepairStats:
     """What one salvage repair did."""
 
     erased_tiles: int = 0  #: tiles reconstructed from known-row erasures
-    erased_elements: int = 0  #: elements the erasure solve changed
+    erased_elements: int = 0  #: elements the erasure solve changed from zero
     corrected_errors: int = 0  #: unknown-location data errors the decode fixed
     refreshed_checksums: int = 0  #: corrupt strip elements refreshed from the data
     reencoded_tiles: int = 0  #: strips rebuilt after strip-row loss
@@ -167,14 +167,14 @@ def repair_salvage(
             tile = matrix[i * B : (i + 1) * B, c * B : (c + 1) * B]
             strip = chk[r * i : r * (i + 1), c * B : (c + 1) * B]
             try:
-                changed, corrections = codec.correct_mixed(tile, strip, rows)
+                corrections = codec.verify_and_correct(tile, strip, erased=rows)
             except UnrecoverableError as exc:
                 raise SalvageError(
                     f"tile ({i}, {c}): salvage verification beyond capacity: {exc}"
                 ) from exc
             if rows:
                 stats.erased_tiles += 1
-                stats.erased_elements += changed
+                stats.erased_elements += int(np.count_nonzero(tile[rows]))
             for corr in corrections:
                 stats.corrected_errors += len(corr.rows)
                 stats.refreshed_checksums += len(corr.refreshed)

@@ -673,7 +673,8 @@ class SolveService:
         self._note_runtime(outcome.runtime)
         status = JobStatus.COMPLETED
         error: str | None = None
-        if outcome.residual is not None and outcome.residual > self.config.residual_tolerance:
+        # Negated so a NaN residual (a factor holding inf) fails the gate too.
+        if outcome.residual is not None and not outcome.residual <= self.config.residual_tolerance:
             status = JobStatus.FAILED
             error = f"residual {outcome.residual:.3e} exceeds {self.config.residual_tolerance:g}"
             self._incorrect.inc()

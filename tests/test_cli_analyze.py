@@ -145,16 +145,6 @@ class TestLintFlowTier:
         validate_sarif(doc)
         assert doc["runs"][0]["results"] == []
 
-    def test_cache_dir_persists_the_call_graph(self, leaky_module, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        assert main(["lint", "--flow", "--cache-dir", str(cache), str(leaky_module)]) == 1
-        capsys.readouterr()
-        cached = list(cache.glob("callgraph-*.json"))
-        assert len(cached) == 1
-        # Second run resolves from the cache and reports identically.
-        assert main(["lint", "--flow", "--cache-dir", str(cache), str(leaky_module)]) == 1
-        assert "RPL101" in capsys.readouterr().out
-
     def test_repo_package_is_flow_clean(self, capsys):
         # The acceptance gate: both tiers, zero unsuppressed findings.
         assert main(["lint", "--flow"]) == 0

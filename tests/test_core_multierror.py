@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multierror import MultiErrorCodec, encode, vandermonde_weights
-from repro.util.exceptions import UnrecoverableError
+from repro.core.multierror import MultiErrorCodec, encode_strip, vandermonde_weights
+from repro.util.exceptions import UnrecoverableError, ValidationError
 
 
 def make(b=16, m=4, rng=0):
@@ -34,7 +34,7 @@ class TestWeights:
 
     def test_encode_function(self):
         tile = np.eye(3)
-        strip = encode(tile, 3)
+        strip = encode_strip(tile, 3)
         np.testing.assert_allclose(strip[1], [1, 2, 3])
 
 
@@ -116,7 +116,7 @@ class TestErasureCorrection:
         codec, tile, strip = make(m=4)
         pristine = tile.copy()
         tile[5, :] += np.linspace(1.0, 3.0, tile.shape[1])
-        codec.correct_erasures(tile, strip, rows=[5])
+        assert codec.verify_and_correct(tile, strip, erased=[5]) == []
         np.testing.assert_allclose(tile, pristine, atol=1e-8)
 
     def test_three_erasure_rows_with_four_checksums(self):
@@ -126,24 +126,25 @@ class TestErasureCorrection:
         pristine = tile.copy()
         for r, s in ((2, 1.5), (7, -4.0), (12, 9.0)):
             tile[r, :] += s
-        codec.correct_erasures(tile, strip, rows=[2, 7, 12])
+        codec.verify_and_correct(tile, strip, erased=[2, 7, 12])
         np.testing.assert_allclose(tile, pristine, atol=1e-7)
 
     def test_too_many_erasures_rejected(self):
+        """Four lost rows exceed what four checksums rebuild: a decode
+        outcome that escalates, not caller misuse."""
         codec, tile, strip = make(m=4)
-        with pytest.raises(ValueError):
-            codec.correct_erasures(tile, strip, rows=[0, 1, 2, 3])
+        with pytest.raises(UnrecoverableError):
+            codec.verify_and_correct(tile, strip, erased=[0, 1, 2, 3])
 
     def test_duplicate_rows_rejected(self):
         codec, tile, strip = make(m=4)
-        with pytest.raises(ValueError):
-            codec.correct_erasures(tile, strip, rows=[1, 1])
+        with pytest.raises(ValidationError):
+            codec.verify_and_correct(tile, strip, erased=[1, 1])
 
     def test_erasure_on_clean_rows_is_noop(self):
         codec, tile, strip = make(m=4)
         pristine = tile.copy()
-        changed = codec.correct_erasures(tile, strip, rows=[3, 8])
-        assert changed == 0
+        assert codec.verify_and_correct(tile, strip, erased=[3, 8]) == []
         np.testing.assert_allclose(tile, pristine, atol=1e-9)
 
 

@@ -4,20 +4,10 @@ Resolution precision is what keeps RPL102/RPL103 usable: a ``service.start()``
 that fanned out to every ``start`` method in the tree would drown the
 checkers in cross-class noise.  These tests pin the narrowing rules —
 constructor/annotation/iteration type evidence, hierarchy dispatch, the
-external-class cutoff — plus the cache round trip the CI job relies on.
+external-class cutoff.
 """
 
-import json
-
-import pytest
-
-from repro.analysis.flow.callgraph import (
-    CACHE_VERSION,
-    CallGraph,
-    build_call_graph,
-    source_digest,
-)
-from repro.util.exceptions import ValidationError
+from repro.analysis.flow.callgraph import build_call_graph
 
 
 def _graph(*sources):
@@ -278,61 +268,3 @@ class TestExtraction:
         assert [w.lock for w in bump.attr_writes] == ["self._lock"]
         assert _call(bump, "helper").lock == "self._lock"
         assert [w.lock for w in _fn(graph, "::C.unlocked").attr_writes] == [None]
-
-
-class TestSerializationAndCache:
-    SRC = (
-        "svc.py",
-        "class A:\n"
-        "    def run(self):\n"
-        "        self.done = True\n"
-        "def use(a: A):\n"
-        "    a.run()\n",
-    )
-
-    def test_json_round_trip_preserves_resolution(self):
-        graph = _graph(self.SRC)
-        loaded = CallGraph.from_json(graph.to_json())
-        assert loaded.digest == graph.digest
-        assert [f.qualname for f in loaded.functions] == [
-            f.qualname for f in graph.functions
-        ]
-        use = _fn(loaded, "::use")
-        targets = loaded.resolve_call(_call(use, "run"), use)
-        assert [t.qualname for t in targets] == ["svc.py::A.run"]
-
-    def test_version_mismatch_rejected(self):
-        doc = json.loads(_graph(self.SRC).to_json())
-        doc["version"] = CACHE_VERSION - 1
-        with pytest.raises(ValidationError):
-            CallGraph.from_json(json.dumps(doc))
-
-    def test_cache_write_and_hit(self, tmp_path):
-        sources = [self.SRC]
-        first = build_call_graph(sources, cache_dir=tmp_path)
-        cache_files = list(tmp_path.glob("callgraph-*.json"))
-        assert len(cache_files) == 1
-        # Second build must come from the cache: poison the file's digest
-        # field and check the poisoned value round-trips.
-        doc = json.loads(cache_files[0].read_text())
-        doc["digest"] = "poisoned"
-        cache_files[0].write_text(json.dumps(doc))
-        second = build_call_graph(sources, cache_dir=tmp_path)
-        assert second.digest == "poisoned"
-        assert [f.qualname for f in second.functions] == [
-            f.qualname for f in first.functions
-        ]
-
-    def test_corrupt_cache_falls_back_to_build(self, tmp_path):
-        sources = [self.SRC]
-        build_call_graph(sources, cache_dir=tmp_path)
-        cache_file = next(tmp_path.glob("callgraph-*.json"))
-        cache_file.write_text("{not json")
-        rebuilt = build_call_graph(sources, cache_dir=tmp_path)
-        assert rebuilt.digest == source_digest(sources)
-
-    def test_digest_tracks_content_not_identity(self):
-        a = source_digest([("svc.py", "x = 1\n")])
-        assert a == source_digest([("svc.py", "x = 1\n")])
-        assert a != source_digest([("svc.py", "x = 2\n")])
-        assert a != source_digest([("other.py", "x = 1\n")])

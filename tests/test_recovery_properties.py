@@ -1,146 +1,148 @@
-"""Hypothesis property tests for errors-and-erasures decoding.
+"""Hypothesis properties of errors-and-erasures decoding.
 
-The forward-recovery layer's decode contract, stated as properties over
-random tiles: encode → erase up to ``m`` known rows and add up to
-``t ≤ ⌊(m+1−k)/2⌋`` unknown errors → :meth:`MultiErrorCodec.correct_mixed`
-round-trips the tile exactly (within the lstsq solve's rounding); and any
-loss beyond the ``k + 2t ≤ m+1`` capacity raises
-:class:`~repro.util.exceptions.UnrecoverableError` — detected, never
-miscorrected into a silently wrong tile.
+Salvage decodes every tile through the run's one decoder,
+:meth:`MultiErrorCodec.verify_and_correct`, with the tile's CRC-erased rows
+passed as ``erased``.  The contract, searched at the salvage tolerances:
+zero k ≥ 1 rows of a random tile, then corrupt one column with up to
+⌈(r − k)/2⌉ unknown errors of any size (one past capacity included) or set
+one strip element to any float — the decode either raises
+:class:`~repro.util.exceptions.UnrecoverableError` or returns the original
+tile.  Within capacity (k + 2t ≤ r) it returns the tile.
 """
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.multierror import MultiErrorCodec
+from repro.recovery.salvage import SALVAGE_ATOL, SALVAGE_RTOL
 from repro.util.exceptions import UnrecoverableError
-from repro.util.rng import resolve_rng
 
-_B = 8  # block size
-
-_prop = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-
-seeds = st.integers(min_value=0, max_value=2**20)
-checksums = st.integers(min_value=2, max_value=6)
-magnitudes = st.floats(min_value=1e2, max_value=1e6)
-signs = st.sampled_from([-1.0, 1.0])
+#: values an unknown error now and then takes instead of ±10^u: a
+#: top-exponent flip and the non-finite floats
+EXTREMES = (1.2e307, math.inf, -math.inf, math.nan)
 
 
-def _codec(n_checksums: int) -> MultiErrorCodec:
-    return MultiErrorCodec(_B, n_checksums, rtol=1e-8, atol=1e-10)
+@dataclass(frozen=True)
+class Erasure:
+    """A random standard-normal B×B tile with *erased* rows zeroed and one
+    column corrupted."""
+
+    r: int
+    b: int
+    seed: int
+    erased: tuple[int, ...]
+    col: int
+    errors: tuple[tuple[int, float], ...] = ()  #: (row, value added) unknown errors
+    strip: tuple[int, float] | None = None  #: (checksum row, value written)
 
 
-def _tile_and_strip(seed: int, codec: MultiErrorCodec) -> tuple[np.ndarray, np.ndarray]:
-    gen = resolve_rng(seed)
-    tile = gen.standard_normal((_B, _B))
-    return tile, codec.encode(tile)
+def _decode(case: Erasure):
+    """(pristine, decoded tile, corrections); raises what the decoder raises."""
+    codec = MultiErrorCodec(case.b, case.r, rtol=SALVAGE_RTOL, atol=SALVAGE_ATOL)
+    pristine = np.random.default_rng(case.seed).standard_normal((case.b, case.b))
+    tile = pristine.copy()
+    strip = codec.encode(tile)
+    tile[list(case.erased)] = 0.0
+    for row, err in case.errors:
+        tile[row, case.col] += err
+    if case.strip is not None:
+        strip[case.strip[0], case.col] = case.strip[1]
+    with np.errstate(all="ignore"):
+        corrections = codec.verify_and_correct(tile, strip, erased=case.erased)
+    return pristine, tile, corrections
 
 
-def _damage(draw_rng, tile, k, t, mag, sign):
-    """Erase *k* whole rows (zeroed, locations known) + *t* unknown errors.
-
-    The unknown errors land in one column at rows distinct from the
-    erasures — the hardest same-column case for the modified-syndrome
-    decode.  Each error gets its own random scale: equal-magnitude errors
-    placed symmetrically about an integer row alias *exactly* onto a
-    lighter error pattern (the code's distance is m+2, so beyond-capacity
-    detection is only guaranteed off that measure-zero set, which real
-    bit flips never hit).  Returns (erased_rows, error_sites).
-    """
-    rows = list(draw_rng.choice(_B, size=k + t, replace=False))
-    erased = sorted(int(r) for r in rows[:k])
-    for r in erased:
-        tile[r, :] = 0.0
-    col = int(draw_rng.integers(0, _B))
-    sites = []
-    for r in rows[k:]:
-        tile[int(r), col] += sign * mag * float(draw_rng.uniform(1.0, 9.0))
-        sites.append((int(r), col))
-    return erased, sites
+@st.composite
+def erasures(draw, within_capacity: bool = False) -> Erasure:
+    r = draw(st.sampled_from([2, 3, 4]))
+    b = draw(st.sampled_from([8, 16, 32]))
+    k = draw(st.integers(1, r - 1))
+    most = (r - k) // 2 if within_capacity else -(-(r - k) // 2)
+    rows = draw(st.lists(st.integers(0, b - 1), min_size=k + most, max_size=k + most, unique=True))
+    erased, others = tuple(sorted(rows[:k])), rows[k:]
+    case = dict(r=r, b=b, seed=draw(st.integers(0, 2**32 - 1)), erased=erased, col=draw(st.integers(0, b - 1)))
+    if within_capacity or draw(st.booleans()):
+        size = st.floats(-3.0, 300.0).map(lambda u: 10.0**u)
+        if not within_capacity:
+            size = st.one_of(size, size, size, st.sampled_from(EXTREMES))
+        sizes = [draw(st.sampled_from([-1.0, 1.0])) * draw(size) for _ in others]
+        return Erasure(**case, errors=tuple(zip(others[: draw(st.integers(0, most))], sizes)))
+    value = draw(st.floats(allow_nan=True, allow_infinity=True))
+    return Erasure(**case, strip=(draw(st.integers(0, r - 1)), value))
 
 
-@_prop
-@given(seed=seeds, r=checksums, mag=magnitudes, sign=signs)
-def test_mixed_roundtrip_at_capacity(seed, r, mag, sign):
-    """k erasures + t unknown errors with k + 2t ≤ m+1 decode exactly."""
-    codec = _codec(r)
-    gen = resolve_rng(seed + 1)
-    k = int(gen.integers(0, r))  # up to m = r - 1 erasures
-    t = int(gen.integers(0, codec.mixed_capacity(k) + 1))
-    tile, strip = _tile_and_strip(seed, codec)
-    pristine = tile.copy()
-    erased, sites = _damage(gen, tile, k, t, mag, sign)
-    changed, corrections = codec.correct_mixed(tile, strip, erased)
-    np.testing.assert_allclose(tile, pristine, rtol=1e-7, atol=1e-7)
-    assert len(corrections) == (1 if t else 0)
-    if t:
-        got = {row for corr in corrections for row in corr.rows}
-        assert got == {row for row, _ in sites}
+# A least-squares erasure decoder whose confirm slack grew with the
+# corruption returned all three: (a) off by 1.5e20 within capacity, (b) one
+# error past capacity off by 2.38, (c) NaN in the erased rows after the
+# tolerance overflowed.
+REPRO_A = Erasure(r=3, b=8, seed=0, erased=(0,), col=0, errors=((6, 1e50),))
+REPRO_B = Erasure(r=3, b=8, seed=0, erased=(0,), col=0, errors=((3, 1e20), (5, 1.0)))
+REPRO_C = Erasure(r=3, b=8, seed=0, erased=(0, 1), col=0, errors=((3, 1.2e307),))
 
 
-@_prop
-@given(seed=seeds, r=checksums)
-def test_pure_erasures_up_to_m(seed, r):
-    """All-erasure damage (t = 0) reconstructs every erased row exactly."""
-    codec = _codec(r)
-    gen = resolve_rng(seed + 2)
-    k = int(gen.integers(1, r))
-    tile, strip = _tile_and_strip(seed, codec)
-    pristine = tile.copy()
-    erased, _ = _damage(gen, tile, k, 0, 0.0, 1.0)
-    codec.correct_mixed(tile, strip, erased)
-    np.testing.assert_allclose(tile, pristine, rtol=1e-9, atol=1e-9)
+@example(REPRO_A)
+@example(REPRO_B)
+@example(REPRO_C)
+@settings(max_examples=400, deadline=None)
+@given(erasures())
+def test_erasure_decode_is_repaired_or_detected(case):
+    try:
+        pristine, tile, _ = _decode(case)
+    except UnrecoverableError:
+        return
+    assert np.isfinite(tile).all()
+    np.testing.assert_allclose(tile, pristine, rtol=0.0, atol=1e-6)
 
 
-@_prop
-@given(seed=seeds, r=checksums, mag=magnitudes, sign=signs)
-def test_beyond_capacity_is_detected_never_miscorrected(seed, r, mag, sign):
-    """k + 2t > m+1 in one column must raise, not return a wrong tile."""
-    codec = _codec(r)
-    gen = resolve_rng(seed + 3)
-    k = int(gen.integers(0, r))
-    t = codec.mixed_capacity(k) + 1  # one unknown error past capacity
-    if k + t > _B:
-        k = _B - t
-    tile, strip = _tile_and_strip(seed, codec)
-    erased, sites = _damage(gen, tile, k, t, mag, sign)
+@settings(max_examples=200, deadline=None)
+@given(erasures(within_capacity=True))
+def test_within_capacity_is_repaired(case):
+    """k erased rows and t unknown errors with k + 2t ≤ r decode exactly."""
+    pristine, tile, corrections = _decode(case)
+    np.testing.assert_allclose(tile, pristine, rtol=0.0, atol=1e-6)
+    assert {row for corr in corrections for row in corr.rows} == {row for row, _ in case.errors}
+
+
+def test_reproducer_a_is_repaired():
+    pristine, tile, (corr,) = _decode(REPRO_A)
+    assert corr.rows == (6,)
+    np.testing.assert_allclose(tile, pristine, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", [REPRO_B, REPRO_C], ids=["one_past_capacity", "overflowed_tolerance"])
+def test_reproducers_b_and_c_raise(case):
     with pytest.raises(UnrecoverableError):
-        codec.correct_mixed(tile, strip, erased)
+        _decode(case)
 
 
-@_prop
-@given(seed=seeds, r=checksums)
-def test_beyond_capacity_erasures_always_detected(seed, r):
-    """More than m *known* erasures always raise — no aliasing possible."""
-    codec = _codec(r)
-    gen = resolve_rng(seed + 4)
-    k = min(r, _B)  # one past the m = r − 1 capacity
-    tile, strip = _tile_and_strip(seed, codec)
-    erased, _ = _damage(gen, tile, k, 0, 0.0, 1.0)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_strip_element_next_to_erased_rows_restarts(r):
+    """The refresh rule needs every syndrome; with erased rows a corrupt
+    strip element escalates instead."""
+    case = Erasure(r=r, b=16, seed=3, erased=(4,), col=2, strip=(r - 1, 1e3))
     with pytest.raises(UnrecoverableError):
-        codec.correct_mixed(tile, strip, erased)
+        _decode(case)
 
 
-@_prop
-@given(seed=seeds, r=checksums)
-def test_clean_tile_is_untouched(seed, r):
-    codec = _codec(r)
-    tile, strip = _tile_and_strip(seed, codec)
-    pristine = tile.copy()
-    changed, corrections = codec.correct_mixed(tile, strip, [])
-    assert changed == 0
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_pure_erasures_rebuild_the_rows(r):
+    case = Erasure(r=r, b=32, seed=r, erased=tuple(range(31, 31 - (r - 1), -1)), col=0)
+    pristine, tile, corrections = _decode(case)
     assert corrections == []
-    np.testing.assert_array_equal(tile, pristine)
+    np.testing.assert_allclose(tile, pristine, rtol=0.0, atol=1e-9)
 
 
 def test_mixed_capacity_table():
-    """k + 2t ≤ m+1, enumerated for every supported checksum count."""
+    """k + 2t ≤ r, enumerated for every supported checksum count."""
     for r in range(2, 7):
-        codec = _codec(r)
+        codec = MultiErrorCodec(8, r)
         assert codec.correctable_erasures == r - 1
         for k in range(r):
             assert codec.mixed_capacity(k) == (r - k) // 2
@@ -148,9 +150,6 @@ def test_mixed_capacity_table():
 
 
 def test_erasures_beyond_m_raise():
-    codec = _codec(3)
-    tile, strip = _tile_and_strip(11, codec)
-    for r in (0, 2, 5):
-        tile[r, :] = 0.0
+    case = Erasure(r=3, b=8, seed=11, erased=(0, 2, 5), col=0)
     with pytest.raises(UnrecoverableError):
-        codec.correct_mixed(tile, strip, [0, 2, 5])
+        _decode(case)

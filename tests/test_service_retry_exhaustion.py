@@ -9,8 +9,13 @@ infrastructure failures), so each test pins one ladder depth.
 from __future__ import annotations
 
 import asyncio
+import math
+
+import numpy as np
+import pytest
 
 from repro.exec.base import Executor
+from repro.magma.host import factorization_residual
 from repro.resilience.journal import read_journal
 from repro.service.core import ServiceConfig, SolveService
 from repro.service.job import JobStatus
@@ -40,7 +45,20 @@ class ScriptedExecutor(Executor):
         return InlineExecutor(metrics=self.metrics).run_sync(request)
 
 
-def _run_one(tmp_path, script, residual_tolerance=1e-8):
+class ResidualExecutor(ScriptedExecutor):
+    """Runs inline, then reports *residual* in place of the measured one."""
+
+    def __init__(self, residual):
+        self.residual = residual
+        super().__init__()
+
+    def run_sync(self, request):
+        outcome = super().run_sync(request)
+        outcome.residual = self.residual
+        return outcome
+
+
+def _run_one(tmp_path, script, residual_tolerance=1e-8, executor=None):
     config = ServiceConfig(
         workers=("tardis:1",),
         retry=RETRY,
@@ -49,7 +67,7 @@ def _run_one(tmp_path, script, residual_tolerance=1e-8):
         keep_factors=True,
     )
     service = SolveService(config)
-    service.executor = ScriptedExecutor(script)
+    service.executor = executor or ScriptedExecutor(script)
     service.executor.bind_metrics(service.metrics)
 
     async def drive():
@@ -133,6 +151,21 @@ class TestLadderRungs:
         m = service.metrics
         assert m["service_incorrect_results_total"].value() == 1
         assert m["service_jobs_failed_total"].value() == 1
+        assert _events(records, "failed")
+
+    @pytest.mark.parametrize("residual", [math.nan, math.inf])
+    def test_residual_gate_fails_a_non_finite_residual(self, tmp_path, residual):
+        # One inf in a factor already makes its residual NaN, and NaN > tol
+        # is False: the gate must not read it as a pass.
+        ell = np.eye(4)
+        ell[2, 1] = math.inf
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(factorization_residual(np.eye(4), ell))
+        service, records = _run_one(tmp_path, script=[], executor=ResidualExecutor(residual))
+        result = service.results[0]
+        assert result.status is JobStatus.FAILED
+        assert "residual" in (result.error or "")
+        assert service.metrics["service_incorrect_results_total"].value() == 1
         assert _events(records, "failed")
 
     def test_journal_counts_every_record(self, tmp_path):
