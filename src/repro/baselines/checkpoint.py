@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.blas.flops import potrf_flops
+from repro.core.base import simulated
 from repro.core.checksum import issue_encoding
 from repro.core.correct import Verifier, VerifyStats
 from repro.core.update import ChecksumUpdater
@@ -49,16 +50,16 @@ class CheckpointResult:
     n: int
     block_size: int
     interval: int
-    makespan: float
+    makespan: float | None  # simulated seconds; None under timeline=False
     rollbacks: int
     checkpoints_taken: int
     stats: VerifyStats
-    timeline: Timeline
+    timeline: Timeline | None
     factor: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def gflops(self) -> float:
-        return potrf_flops(self.n) / self.makespan / 1e9
+        return potrf_flops(self.n) / simulated(self.makespan, "gflops") / 1e9
 
 
 def checkpoint_potrf(
@@ -70,8 +71,13 @@ def checkpoint_potrf(
     injector: FaultInjector | None = None,
     numerics: str = "real",
     max_rollbacks: int = 4,
+    timeline: bool = True,
 ) -> CheckpointResult:
-    """Factor under checkpoint + periodic offline verification."""
+    """Factor under checkpoint + periodic offline verification.
+
+    ``timeline=False`` skips the simulated machine: the result's
+    ``makespan`` and ``timeline`` are ``None``.
+    """
     require(interval >= 1, "checkpoint interval must be >= 1")
     if numerics == "real":
         require(a is not None, "real mode requires the matrix a")
@@ -82,7 +88,7 @@ def checkpoint_potrf(
     nb = check_block_size(n, bs)
     inj = injector if injector is not None else no_faults()
 
-    ctx = machine.context(numerics=numerics)
+    ctx = machine.context(numerics=numerics, timeline=timeline)
     work = a.copy() if numerics == "real" else None
     matrix = ctx.alloc_matrix(n, bs, data=work)
     chk = ctx.alloc_checksums(n, bs)
@@ -139,9 +145,7 @@ def checkpoint_potrf(
         inj.fire(Hook.AFTER_POTF2, j)
         h2d = ctx.transfer_h2d(tile_bytes, name=f"h2d_diag[{j}]", deps=[potf2], iteration=j)
         updater.update_potf2(j, deps=[h2d])
-        wait = ctx.graph.new(f"wait_diag[{j}]", kind="event")
-        wait.after(main.last, h2d)
-        main.last = wait
+        ctx.stream_wait(main, h2d, f"wait_diag[{j}]")
         trsm_op(ctx, matrix, j, main)
         inj.fire(Hook.AFTER_TRSM, j)
         updater.update_trsm(j)
@@ -175,11 +179,11 @@ def checkpoint_potrf(
         n=n,
         block_size=bs,
         interval=interval,
-        makespan=sim.makespan,
+        makespan=None if sim is None else sim.makespan,
         rollbacks=rollbacks,
         checkpoints_taken=checkpoints,
         stats=stats,
-        timeline=sim.timeline,
+        timeline=None if sim is None else sim.timeline,
         factor=np.tril(work) if work is not None else None,
     )
 

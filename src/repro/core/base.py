@@ -7,6 +7,10 @@ scheme hits corruption it cannot correct (or a fail-stop POTF2), the run
 is abandoned, its simulated time is banked, and a fresh attempt executes
 with the injector disarmed, exactly the "re-do the decomposition, which
 costs twice the time" behaviour of Tables VII/VIII.
+
+``timeline=False`` runs the same attempts without the simulated machine:
+the contexts record nothing, nothing is replayed, and the result's
+``timeline`` and ``makespan`` are ``None``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.core.correct import Verifier, VerifyStats
 from repro.core.multierror import MultiErrorCodec
 from repro.core.policy import VerificationPolicy
 from repro.core.update import ChecksumUpdater
+from repro.desim.engine import SimulationResult
 from repro.desim.task import Task
 from repro.desim.trace import Timeline
 from repro.faults.injector import FaultInjector, Hook, no_faults
@@ -41,6 +46,12 @@ def deps_of(*tasks: Task | None) -> list[Task] | None:
     return out or None
 
 
+def simulated(makespan: float | None, what: str) -> float:
+    """*makespan*, or an error naming the switch when the run kept no timeline."""
+    require(makespan is not None, f"{what} needs the simulated makespan; this run was made with timeline=False")
+    return makespan
+
+
 @dataclass
 class FtPotrfResult:
     """Outcome of a fault-tolerant factorization (restarts included)."""
@@ -49,10 +60,10 @@ class FtPotrfResult:
     machine: str
     n: int
     block_size: int
-    makespan: float  # total simulated seconds across all attempts
+    makespan: float | None  # total simulated seconds across all attempts
     restarts: int
     stats: VerifyStats  # of the successful attempt
-    timeline: Timeline  # of the successful attempt
+    timeline: Timeline | None  # of the successful attempt
     matrix: DeviceMatrix
     placement: str
     config: AbftConfig
@@ -62,7 +73,7 @@ class FtPotrfResult:
     @property
     def gflops(self) -> float:
         """Sustained rate counting only the useful factorization flops."""
-        return potrf_flops(self.n) / self.makespan / 1e9
+        return potrf_flops(self.n) / simulated(self.makespan, "gflops") / 1e9
 
     @property
     def factor(self) -> np.ndarray:
@@ -90,6 +101,7 @@ class FtPotrfResult:
         can exceed the makespan difference vs. the plain driver; compare
         the critical-path effect with :attr:`makespan` instead.
         """
+        simulated(self.makespan, "overhead_breakdown")
         summary = self.timeline.kind_summary()
         out: dict[str, float] = {}
         for kind, (_, total) in summary.items():
@@ -116,6 +128,7 @@ class SchemeRun:
         a: np.ndarray | None,
         start_iteration: int = 0,
         progress=None,
+        timeline: bool = True,
     ) -> None:
         self.scheme = scheme
         self.machine = machine
@@ -123,7 +136,7 @@ class SchemeRun:
         self.injector = injector
         self.start_iteration = start_iteration
         self.progress = progress
-        self.ctx = machine.context(numerics=numerics)
+        self.ctx = machine.context(numerics=numerics, timeline=timeline)
         self.matrix = self.ctx.alloc_matrix(
             n, block_size, data=a if numerics == "real" else None
         )
@@ -166,11 +179,8 @@ class SchemeRun:
 
     def chain_main(self, task: Task | None) -> None:
         """Order subsequent main-stream work after *task*."""
-        if task is None:
-            return
-        barrier = self.ctx.graph.new(f"main_after:{task.name}", kind="event")
-        barrier.after(self.main.last, task)
-        self.main.last = barrier
+        if task is not None:
+            self.ctx.stream_wait(self.main, task, f"main_after:{task.name}")
 
     def fire(self, hook: Hook, iteration: int) -> None:
         self.injector.fire(hook, iteration)
@@ -205,6 +215,7 @@ def run_with_recovery(
     numerics: str = "real",
     start_iteration: int = 0,
     progress=None,
+    timeline: bool = True,
 ) -> FtPotrfResult:
     """Execute *loop_body(run)* with the restart-on-unrecoverable protocol.
 
@@ -215,6 +226,8 @@ def run_with_recovery(
     point — the salvaged state, not the original matrix, is this call's
     "pristine" input.  *progress* (real mode) receives
     ``(iteration, matrix_data, chk_array)`` after each iteration.
+    *timeline* records and replays the simulated machine (see the module
+    docstring).
     """
     cfg = config if config is not None else AbftConfig()
     inj = injector if injector is not None else no_faults()
@@ -229,9 +242,7 @@ def run_with_recovery(
     nb = check_block_size(n, bs)
     require(0 <= start_iteration <= nb, "start_iteration out of range")
 
-    total = 0.0
-    attempt_times: list[float] = []
-    failed_timelines: list = []
+    replays: list[SimulationResult | None] = []  # one per attempt
     restarts = 0
     for attempt in range(cfg.max_restarts + 1):
         work = None
@@ -250,21 +261,19 @@ def run_with_recovery(
             work,
             start_iteration=start_iteration,
             progress=progress,
+            timeline=timeline,
         )
         try:
             loop_body(run)
         except (UnrecoverableError, SingularBlockError):
-            sim = run.ctx.simulate()
-            total += sim.makespan
-            attempt_times.append(sim.makespan)
-            failed_timelines.append(sim.timeline)
+            replays.append(run.ctx.simulate())
             restarts += 1
             # The injected fault was a one-shot event; do not re-inject.
             inj.disarm()
             continue
         sim = run.ctx.simulate()
-        total += sim.makespan
-        attempt_times.append(sim.makespan)
+        replays.append(sim)
+        makespans = [r.makespan for r in replays if r is not None]
         if numerics == "real":
             a[:] = work
         return FtPotrfResult(
@@ -272,15 +281,15 @@ def run_with_recovery(
             machine=machine.name,
             n=n,
             block_size=bs,
-            makespan=total,
+            makespan=None if sim is None else sum(makespans),
             restarts=restarts,
             stats=run.stats,
-            timeline=sim.timeline,
+            timeline=None if sim is None else sim.timeline,
             matrix=run.matrix,
             placement=run.placement,
             config=cfg,
-            attempt_makespans=attempt_times,
-            failed_timelines=failed_timelines,
+            attempt_makespans=makespans,
+            failed_timelines=[r.timeline for r in replays[:-1] if r is not None],
         )
     raise RestartExhaustedError(
         f"{scheme}: still unrecoverable after {cfg.max_restarts} restart(s)"

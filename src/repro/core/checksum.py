@@ -86,6 +86,4 @@ def issue_encoding(
         encode(matrix, chk, keys, vandermonde_weights(b, chk.rows_per_tile))
     # The barrier doubles as a verification event: at encode time every tile
     # is by definition consistent with its freshly built strip.
-    return ctx.graph.barrier(
-        "encode_done", tails, iteration=-1, tile_verifies=keys
-    )
+    return ctx.barrier("encode_done", tails, iteration=-1, tile_verifies=keys)

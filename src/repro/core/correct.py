@@ -165,9 +165,7 @@ class Verifier:
                     **tag,
                 )
             )
-        barrier = self.ctx.graph.barrier(
-            f"verified[{label}]", tails, tile_verifies=keys, **tag
-        )
+        barrier = self.ctx.barrier(f"verified[{label}]", tails, tile_verifies=keys, **tag)
         self.stats.batches += 1
         self.stats.tiles_verified += len(keys)
         if self.ctx.real:

@@ -17,6 +17,9 @@ says which tiles one scheme verifies at each point:
   cross in the diagonal; GEMM's and TRSM's deferrable inputs every K
   iterations (Optimization 3).  The final sweep closes the window after
   each tile's last update.
+
+Every entry point takes ``timeline``: ``False`` factors without recording
+the simulated machine (:func:`~repro.core.base.run_with_recovery`).
 """
 
 from __future__ import annotations
@@ -205,10 +208,12 @@ def offline_potrf(
     config: AbftConfig | None = None,
     injector: FaultInjector | None = None,
     numerics: str = "real",
+    timeline: bool = True,
 ) -> FtPotrfResult:
     """Factor with Offline-ABFT protection (verify-at-the-end)."""
     return run_with_recovery(
-        "offline", _factor_left_looking, machine, a, n, block_size, config, injector, numerics
+        "offline", _factor_left_looking, machine, a, n, block_size, config, injector, numerics,
+        timeline=timeline,
     )
 
 
@@ -222,11 +227,12 @@ def online_potrf(
     numerics: str = "real",
     start_iteration: int = 0,
     progress=None,
+    timeline: bool = True,
 ) -> FtPotrfResult:
     """Factor with Online-ABFT protection (post-update verification)."""
     return run_with_recovery(
         "online", _factor_left_looking, machine, a, n, block_size, config, injector, numerics,
-        start_iteration=start_iteration, progress=progress,
+        start_iteration=start_iteration, progress=progress, timeline=timeline,
     )
 
 
@@ -240,11 +246,12 @@ def enhanced_potrf(
     numerics: str = "real",
     start_iteration: int = 0,
     progress=None,
+    timeline: bool = True,
 ) -> FtPotrfResult:
     """Factor with Enhanced Online-ABFT (pre-access verification)."""
     return run_with_recovery(
         "enhanced", _factor_left_looking, machine, a, n, block_size, config, injector, numerics,
-        start_iteration=start_iteration, progress=progress,
+        start_iteration=start_iteration, progress=progress, timeline=timeline,
     )
 
 

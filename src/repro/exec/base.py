@@ -74,6 +74,10 @@ class AttemptRequest:
     declared wedged, killed, and its slot reclaimed — an async caller's
     ``asyncio.wait_for`` alone cannot do that, because cancelling the
     awaiting thread does not stop ``run_sync``.
+
+    ``timeline`` asks a real-mode attempt for its simulated timeline (the
+    service sets it only when it dumps traces); shadow attempts always
+    record one.
     """
 
     job: "Job"
@@ -82,6 +86,7 @@ class AttemptRequest:
     kind: str = "attempt"  # "attempt" | "fallback"
     retry: RetryPolicy | None = None
     timeout_s: float | None = None
+    timeline: bool = True
 
     def __post_init__(self) -> None:
         require(self.kind in ("attempt", "fallback"), f"bad request kind {self.kind!r}")

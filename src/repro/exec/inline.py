@@ -26,8 +26,8 @@ def run_request(request: AttemptRequest) -> AttemptOutcome:
     """
     machine = request.machine if request.machine is not None else Machine.preset(request.preset)
     if request.kind == "attempt":
-        return policy.execute_attempt(request.job, machine)
-    return policy.execute_fallback(request.job, machine, request.retry)
+        return policy.execute_attempt(request.job, machine, timeline=request.timeline)
+    return policy.execute_fallback(request.job, machine, request.retry, timeline=request.timeline)
 
 
 class InlineExecutor(Executor):

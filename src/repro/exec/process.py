@@ -509,6 +509,7 @@ class ProcessExecutor(Executor):
                 "preset": request.preset,
                 "kind": request.kind,
                 "retry": request.retry,
+                "timeline": request.timeline,
                 "input": desc,
                 "snapshot": snap_desc,
             }

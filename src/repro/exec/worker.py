@@ -177,10 +177,11 @@ def run_task(payload: dict, state: WorkerState, outbox: Any = None) -> Any:
                     outbox.join_thread()
                 os._exit(44)
 
+    timeline = payload.get("timeline", True)
     if payload["kind"] == "attempt":
-        outcome = execute_attempt(job, machine, a=a, scratch=scratch, progress=progress)
+        outcome = execute_attempt(job, machine, a=a, scratch=scratch, progress=progress, timeline=timeline)
     else:
-        outcome = execute_fallback(job, machine, payload["retry"], a=a, scratch=scratch)
+        outcome = execute_fallback(job, machine, payload["retry"], a=a, scratch=scratch, timeline=timeline)
     if desc is not None and outcome.factor is not None:
         view = state.view(desc)
         np.copyto(view, outcome.factor)

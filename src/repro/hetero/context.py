@@ -13,6 +13,11 @@ thread for one factorization run.  It
 - finally replays the graph through the discrete-event engine to produce
   the simulated wall-clock timeline.
 
+The time plane is per context: one made with ``timeline=False`` records
+nothing and replays nothing.  Its launches, events and barriers all hand
+back one shared task that takes no edges, so the drivers run unchanged and
+only this module knows whether a graph exists.
+
 Numerics run eagerly in program order on the single Python thread, so the
 computed values are independent of the simulated schedule — legitimate
 because the recorded dependencies are exactly the ones that make the real
@@ -41,15 +46,45 @@ from repro.util.validation import require
 _DOUBLE = 8
 
 
-class ExecutionContext:
-    """One factorization run's worth of simulated-machine state."""
+class _Edgeless(Task):
+    """A task that takes no edges."""
 
-    def __init__(self, spec: MachineSpec, numerics: str = "real") -> None:
+    __slots__ = ()
+
+    def after(self, *tasks: Task | None) -> Task:
+        return self
+
+
+class _NoGraph(TaskGraph):
+    """An untimed context's graph: every task asked of it (``new`` and
+    ``barrier`` come through :meth:`record`) is one shared :class:`_Edgeless`
+    task, which never changes, so one instance serves every context and thread."""
+
+    task = _Edgeless("untimed", kind="event")
+
+    def record(self, *args: Any) -> Task:
+        return self.task
+
+
+_NO_GRAPH = _NoGraph()
+
+
+class ExecutionContext:
+    """One factorization run's worth of simulated-machine state.
+
+    *timeline* chooses, once, between recording the run as a task graph
+    (:attr:`graph`) and recording nothing (``graph`` is ``None`` and
+    :meth:`simulate` returns ``None``).  Numerics, taint and memory
+    accounting are the same either way.
+    """
+
+    def __init__(self, spec: MachineSpec, numerics: str = "real", timeline: bool = True) -> None:
         require(numerics in ("real", "shadow"), f"bad numerics mode {numerics!r}")
         self.spec = spec
         self.real = numerics == "real"
         self.cost = CostModel(spec.gpu, spec.cpu, spec.link)
-        self.graph = TaskGraph()
+        self.graph: TaskGraph | None = TaskGraph() if timeline else None
+        self._tasks = self.graph if self.graph is not None else _NO_GRAPH  # where launches record
         gpu = spec.gpu
         self.gpu_res = Resource(
             name="gpu",
@@ -79,16 +114,24 @@ class ExecutionContext:
 
     def record_event(self, stream: Stream) -> GpuEvent:
         """cudaEventRecord: a marker completing with the stream's tail."""
-        marker = self.graph.new(f"event@{stream.name}", kind="event")
+        marker = self._tasks.new(f"event@{stream.name}", kind="event")
         if stream.last is not None:
             marker.after(stream.last)
         return GpuEvent(marker=marker)
 
     def wait_event(self, stream: Stream, event: GpuEvent) -> None:
         """cudaStreamWaitEvent: later work in *stream* waits for *event*."""
-        barrier = self.graph.new(f"wait@{stream.name}", kind="event")
-        barrier.after(stream.last, event.marker)
-        stream.last = barrier
+        self.stream_wait(stream, event.marker, f"wait@{stream.name}")
+
+    def stream_wait(self, stream: Stream, task: Task, name: str) -> None:
+        """Later work in *stream* waits for *task* too (an event node *name*)."""
+        wait = self._tasks.new(name, kind="event")
+        wait.after(stream.last, task)
+        stream.last = wait
+
+    def barrier(self, name: str, deps: list[Task], **meta: Any) -> Task:
+        """A zero-cost node that completes when all *deps* have."""
+        return self._tasks.barrier(name, deps, **meta)
 
     def sync_streams(self, *streams: Stream, name: str = "deviceSync") -> Task:
         """cudaDeviceSynchronize over *streams* (all by default).
@@ -100,7 +143,7 @@ class ExecutionContext:
         deps = [s.last for s in targets if s.last is not None]
         if self._host.last is not None:
             deps.append(self._host.last)
-        barrier = self.graph.barrier(name, deps)
+        barrier = self._tasks.barrier(name, deps)
         for s in targets:
             s.last = barrier
         self._host.last = barrier
@@ -172,7 +215,7 @@ class ExecutionContext:
     ) -> Task:
         """Issue one GPU kernel into *stream*; run its numerics if real."""
         meta.setdefault(META_STREAM, stream.name)
-        task = self.graph.record(
+        task = self._tasks.record(
             name, self.gpu_res, cost.duration, cost.util, kind, deps, meta
         )
         stream.chain(task)
@@ -191,7 +234,7 @@ class ExecutionContext:
     ) -> Task:
         """Issue one host call (ordered after earlier host work)."""
         meta.setdefault(META_STREAM, self._host.name)
-        task = self.graph.record(
+        task = self._tasks.record(
             name, self.cpu_res, cost.duration, cost.util, kind, deps, meta
         )
         self._host.chain(task)
@@ -212,7 +255,7 @@ class ExecutionContext:
         meta = {"bytes": nbytes, **meta}
         if stream is not None:
             meta.setdefault(META_STREAM, stream.name)
-        task = self.graph.record(
+        task = self._tasks.record(
             name, self.d2h_res, cost.duration, cost.util, "d2h", deps, meta
         )
         if stream is not None:
@@ -232,7 +275,7 @@ class ExecutionContext:
         meta = {"bytes": nbytes, **meta}
         if stream is not None:
             meta.setdefault(META_STREAM, stream.name)
-        task = self.graph.record(
+        task = self._tasks.record(
             name, self.h2d_res, cost.duration, cost.util, "h2d", deps, meta
         )
         if stream is not None:
@@ -241,8 +284,14 @@ class ExecutionContext:
 
     # ------------------------------------------------------------------ replay
 
-    def simulate(self) -> SimulationResult:
-        """Run the recorded task graph through the discrete-event engine."""
+    def simulate(self) -> SimulationResult | None:
+        """Run the recorded task graph through the discrete-event engine.
+
+        ``None`` for a context made with ``timeline=False``: it recorded
+        nothing to replay.
+        """
+        if self.graph is None:
+            return None
         return Engine().run(self.graph)
 
     def tile_bytes(self, block_size: int) -> int:

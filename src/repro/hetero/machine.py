@@ -33,9 +33,13 @@ class Machine:
         """MAGMA's block size choice for this GPU generation."""
         return self.spec.default_block_size
 
-    def context(self, numerics: str = "real") -> ExecutionContext:
-        """A fresh execution context for one factorization run."""
-        return ExecutionContext(self.spec, numerics=numerics)
+    def context(self, numerics: str = "real", timeline: bool = True) -> ExecutionContext:
+        """A fresh execution context for one factorization run.
+
+        ``timeline=False`` records and replays nothing (see
+        :class:`ExecutionContext`).
+        """
+        return ExecutionContext(self.spec, numerics=numerics, timeline=timeline)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Machine({self.spec.name!r}: {self.spec.gpu.name} + {self.spec.cpu.name})"

@@ -24,8 +24,7 @@ class Stream:
 
     def chain(self, task: Task) -> Task:
         """Make *task* the stream's new tail (ordered after the old tail)."""
-        if self.last is not None:
-            task.deps.append(self.last)
+        task.after(self.last)
         self.last = task
         return task
 

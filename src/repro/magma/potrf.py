@@ -82,9 +82,7 @@ def factorization_loop(
         )
         # ...and the panel solve waits for both the GEMM (stream order)
         # and the returned tile (event dependency).
-        wait = ctx.graph.new(f"wait_diag[{j}]", kind="event")
-        wait.after(main.last, h2d)
-        main.last = wait
+        ctx.stream_wait(main, h2d, f"wait_diag[{j}]")
         trsm_op(ctx, matrix, j, main)
         fire(Hook.AFTER_TRSM, j)
         fire(Hook.STORAGE_WINDOW, j)

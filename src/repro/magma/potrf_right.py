@@ -54,9 +54,7 @@ def right_looking_loop(ctx: ExecutionContext, matrix: DeviceMatrix) -> None:
         h2d = ctx.transfer_h2d(
             tile_bytes, name=f"h2d_diag[{j}]", deps=[potf2], iteration=j
         )
-        wait = ctx.graph.new(f"wait_diag[{j}]", kind="event")
-        wait.after(main.last, h2d)
-        main.last = wait
+        ctx.stream_wait(main, h2d, f"wait_diag[{j}]")
 
         rows = nb - j - 1
         if rows == 0:

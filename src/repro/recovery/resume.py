@@ -27,8 +27,10 @@ from repro.util.exceptions import SalvageError
 from repro.util.validation import require
 
 
-def execute_resume(job: Job, machine: Machine, salvage: Salvage) -> AttemptOutcome:
+def execute_resume(job: Job, machine: Machine, salvage: Salvage, timeline: bool = True) -> AttemptOutcome:
     """Repair *salvage* in place, resume *job*'s scheme, gate the result.
+
+    *timeline* as for :func:`~repro.service.policy.execute_attempt`.
 
     Raises :class:`SalvageError` (undecodable loss pattern, failed
     re-verification) or the scheme's own exceptions; the service answers
@@ -55,6 +57,7 @@ def execute_resume(job: Job, machine: Machine, salvage: Salvage) -> AttemptOutco
         config=config,
         injector=job.injector,
         start_iteration=salvage.resume_iteration,
+        timeline=timeline,
     )
     factor = res.factor
     residual = factorization_residual(pristine, factor)

@@ -60,7 +60,7 @@ class DagPotrfResult:
     makespan: float  # total host wall seconds across all attempts
     restarts: int
     stats: VerifyStats  # of the successful attempt
-    timeline: Timeline  # of the successful attempt
+    timeline: Timeline | None  # of the successful attempt; None under timeline=False
     placement: str
     config: AbftConfig
     factor_data: np.ndarray
@@ -112,12 +112,14 @@ def dag_potrf(
     config: AbftConfig | None = None,
     injector: FaultInjector | None = None,
     numerics: str = "real",
+    timeline: bool = True,
 ) -> DagPotrfResult:
     """Fault-tolerant Cholesky on the tile-DAG runtime (in place on *a*).
 
     ``config.dag_workers`` picks the schedule; the factor, statistics and
     corrected sites are bit-identical for every choice (see
-    :mod:`repro.runtime.dag` for why).
+    :mod:`repro.runtime.dag` for why).  ``timeline=False`` skips building
+    the executed graph's spans; ``makespan`` stays the wall seconds.
     """
     require(numerics == "real", "the dag scheme runs real numerics only")
     require(a is not None, "real mode requires the matrix a")
@@ -165,7 +167,7 @@ def dag_potrf(
             makespan=total,
             restarts=restarts,
             stats=merge_stats(slots),
-            timeline=_timeline(graph),
+            timeline=_timeline(graph) if timeline else None,
             placement="host",
             config=cfg,
             factor_data=work,

@@ -55,7 +55,8 @@ class ServiceConfig:
     #: contract on top of ABFT's own detection
     residual_tolerance: float = 1e-8
     #: when set, every completed job's timeline is dumped here as
-    #: ``job-<id>.json`` (trace schema v2, spans tagged with the job id)
+    #: ``job-<id>.json`` (trace schema v2, spans tagged with the job id);
+    #: unset, real-mode attempts skip the simulated machine altogether
     trace_dir: str | Path | None = None
     #: execution backend for blocking attempts: ``inline`` | ``thread`` |
     #: ``process`` (see :mod:`repro.exec`); ``thread`` is the historical
@@ -174,6 +175,8 @@ class SolveService:
         )
         self._coalescer = BatchCoalescer(config.batch_max, config.batch_linger_s)
         self.results: dict[int, JobResult] = {}
+        #: real-mode attempts record a timeline only when it will be dumped
+        self._timeline = config.trace_dir is not None
         self.completions: asyncio.Queue[JobResult] = asyncio.Queue()
         self._inflight: set[asyncio.Task] = set()
         self._dispatcher: asyncio.Task | None = None
@@ -221,7 +224,8 @@ class SolveService:
         self._exec_h = m.histogram("service_exec_seconds", "execution wall seconds")
         self._latency_h = m.histogram("service_latency_seconds", "submit-to-done latency")
         self._makespan_h = m.histogram(
-            "service_sim_makespan_seconds", "simulated device makespan per job"
+            "service_sim_makespan_seconds",
+            "simulated device makespan per job (traced or shadow jobs; never dag)",
         )
 
     # -- journal -----------------------------------------------------------------
@@ -435,6 +439,7 @@ class SolveService:
                 preset=worker.preset,
                 machine=worker.machine,
                 timeout_s=timeout,
+                timeline=self._timeline,
             )
             for job, timeout in zip(jobs, timeouts)
         ]
@@ -533,7 +538,11 @@ class SolveService:
                 self._journal_record("attempt", job, number=attempts, kind="attempt")
                 try:
                     request = AttemptRequest(
-                        job=job, preset=worker.preset, machine=worker.machine, timeout_s=timeout
+                        job=job,
+                        preset=worker.preset,
+                        machine=worker.machine,
+                        timeout_s=timeout,
+                        timeline=self._timeline,
                     )
                     outcome = await asyncio.wait_for(self.executor.execute(request), timeout)
                     break
@@ -573,6 +582,7 @@ class SolveService:
                     kind="fallback",
                     retry=self.config.retry,
                     timeout_s=timeout,
+                    timeline=self._timeline,
                 )
                 outcome = await asyncio.wait_for(self.executor.execute(request), timeout)
             except asyncio.TimeoutError:
@@ -636,7 +646,7 @@ class SolveService:
             return None
         try:
             outcome = await asyncio.wait_for(
-                asyncio.to_thread(execute_resume, job, worker.machine, salvage), timeout
+                asyncio.to_thread(execute_resume, job, worker.machine, salvage, self._timeline), timeout
             )
         except asyncio.TimeoutError:
             self._timeouts.inc()
@@ -761,6 +771,6 @@ class SolveService:
         self._wait_h.observe(result.wait_s)
         self._exec_h.observe(result.exec_s)
         self._latency_h.observe(result.latency_s)
-        if result.sim_makespan:
+        if result.sim_makespan is not None:
             self._makespan_h.observe(result.sim_makespan)
         self.completions.put_nowait(result)

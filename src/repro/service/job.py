@@ -160,7 +160,9 @@ class JobResult:
     wait_s: float = 0.0
     exec_s: float = 0.0
     latency_s: float = 0.0
-    sim_makespan: float = 0.0
+    #: simulated seconds, kept only when the attempt kept its timeline
+    #: (traced services, shadow jobs) and never for ``dag``
+    sim_makespan: float | None = None
     residual: float | None = None
     error: str | None = None
     timeline: object | None = field(default=None, repr=False, compare=False)

@@ -87,13 +87,18 @@ class AttemptOutcome:
     process backend strips ``factor`` before pickling the outcome back —
     the bytes travel through the shared-memory segment instead — and the
     parent reattaches it, so callers never see the difference.
+
+    ``sim_makespan`` and ``timeline`` exist only for attempts that kept
+    the simulated machine (shadow jobs, or real ones asked for a
+    timeline); ``sim_makespan`` is always ``None`` for ``dag``, whose
+    makespan is host wall seconds.
     """
 
-    sim_makespan: float
+    sim_makespan: float | None
     corrected_errors: int
     restarts: int
     residual: float | None
-    timeline: Timeline
+    timeline: Timeline | None
     fallback_used: bool = False
     extras: dict = field(default_factory=dict)
     corrected_sites: list = field(default_factory=list)
@@ -127,6 +132,7 @@ def execute_attempt(
     a: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
     progress=None,
+    timeline: bool = True,
 ) -> AttemptOutcome:
     """Run *job* once under its ABFT scheme on *machine* (blocking).
 
@@ -141,6 +147,10 @@ def execute_attempt(
     *progress* (real mode, resumable schemes only) is handed to the
     driver as its iteration-boundary snapshot sink; non-resumable
     schemes ignore it, so passing one is always safe.
+
+    *timeline* asks a real-mode attempt to record and replay the
+    simulated machine; shadow attempts always do, since simulated time is
+    all they produce.
 
     Raises the scheme's own exceptions (``RestartExhaustedError`` etc.) on
     unrecoverable outcomes; the async layer turns those into retries.
@@ -163,6 +173,7 @@ def execute_attempt(
             block_size=job.block_size,
             config=config,
             injector=injector,
+            timeline=timeline,
             **extra_kwargs,
         )
         factor = res.factor
@@ -179,7 +190,8 @@ def execute_attempt(
         residual = None
         factor = None
     return AttemptOutcome(
-        sim_makespan=res.makespan,
+        # dag's makespan is host wall seconds: the job's exec_s says that already.
+        sim_makespan=res.makespan if job.scheme in SCHEMES else None,
         corrected_errors=res.stats.data_corrections + res.stats.checksum_corrections,
         restarts=res.restarts,
         residual=residual,
@@ -197,8 +209,12 @@ def execute_fallback(
     policy: RetryPolicy,
     a: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    timeline: bool = True,
 ) -> AttemptOutcome:
-    """Last-rung execution under the checkpoint/rollback baseline (blocking)."""
+    """Last-rung execution under the checkpoint/rollback baseline (blocking).
+
+    *timeline* as for :func:`execute_attempt`.
+    """
     if job.injector is not None:
         job.injector.disarm()  # the fault already happened; replay clean
     if job.numerics == "real":
@@ -211,6 +227,7 @@ def execute_fallback(
             block_size=job.block_size,
             interval=policy.checkpoint_interval,
             injector=job.injector,
+            timeline=timeline,
         )
         factor = res.factor
         residual = factorization_residual(pristine, factor)

@@ -130,3 +130,23 @@ class TestMachine:
         c1 = tardis.context(numerics="shadow")
         c2 = tardis.context(numerics="shadow")
         assert c1 is not c2 and c1.graph is not c2.graph
+
+
+class TestUntimed:
+    def test_records_nothing_and_keeps_no_edges(self, tardis):
+        ctx = tardis.context(numerics="shadow", timeline=False)
+        s1, s2 = ctx.stream("s1"), ctx.stream("s2")
+        a = ctx.launch_gpu("a", "k", KernelCost(1.0, 1.0), s1)
+        b = ctx.launch_gpu("b", "k", KernelCost(1.0, 1.0), s1)
+        ctx.wait_event(s2, ctx.record_event(s1))
+        ctx.stream_wait(s2, ctx.transfer_d2h(8, stream=s1), "w")
+        tasks = [a, b, ctx.launch_cpu("h", "potf2", KernelCost(1.0, 1.0)), ctx.barrier("x", [a, b]),
+                 ctx.sync_streams()]
+        assert ctx.graph is None and ctx.simulate() is None
+        assert all(t.deps == [] for t in tasks)
+
+    def test_real_numerics_still_run(self, tardis):
+        ctx = tardis.context(numerics="real", timeline=False)
+        hit = []
+        ctx.launch_gpu("k", "k", KernelCost(1.0, 1.0), ctx.stream("s"), fn=lambda: hit.append(1))
+        assert hit == [1]

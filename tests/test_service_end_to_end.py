@@ -13,8 +13,9 @@ import json
 import pytest
 
 from repro.analysis import check_protocol, find_hazards, load_trace_doc
-from repro.desim.trace import META_JOB
+from repro.desim.trace import META_JOB, Timeline
 from repro.service import (
+    Job,
     JobStatus,
     LoadGenConfig,
     LoadReport,
@@ -33,12 +34,17 @@ def run_service_load(cfg: LoadGenConfig, service_cfg: ServiceConfig):
 
 
 class TestFaultyLoadgenAcceptance:
-    @pytest.fixture(scope="class")
-    def faulty_run(self, tmp_path_factory):
+    @pytest.fixture(scope="class", params=["thread", "process"])
+    def faulty_run(self, request, tmp_path_factory):
+        # The process backend carries the traced timelines across the pool's
+        # pickle boundary; two pool processes keep the run small.
         trace_dir = tmp_path_factory.mktemp("traces")
         cfg = LoadGenConfig(jobs=10, fault_prob=0.7, seed=11, concurrency=4)
         service_cfg = ServiceConfig(
-            workers=("tardis:2", "bulldozer64:2"), trace_dir=trace_dir
+            workers=("tardis:2", "bulldozer64:2"),
+            trace_dir=trace_dir,
+            executor=request.param,
+            exec_workers=2 if request.param == "process" else None,
         )
         service, report, results = run_service_load(cfg, service_cfg)
         return service, report, results, trace_dir
@@ -84,6 +90,88 @@ class TestFaultyLoadgenAcceptance:
         assert len({r.worker for r in results}) > 1
 
 
+#: (scheme, numerics) of the timeline-switch mix: every simulated scheme in
+#: real mode, the host-clock dag engine, and shadow jobs.
+_MIX = [
+    ("enhanced", "real"),
+    ("online", "real"),
+    ("offline", "real"),
+    ("dag", "real"),
+    ("enhanced", "shadow"),
+    ("offline", "shadow"),
+]
+
+
+def _serve_mix(executor: str, trace_dir=None) -> SolveService:
+    """Run the mix to completion on *executor*; return the stopped service."""
+    jobs = [
+        Job(job_id=i, n=128 if numerics == "real" else 512, scheme=scheme,
+            numerics=numerics, block_size=32, seed=4)
+        for i, (scheme, numerics) in enumerate(_MIX)
+    ]
+    service = SolveService(
+        ServiceConfig(workers=("tardis:2",), executor=executor, exec_workers=2, trace_dir=trace_dir)
+    )
+
+    async def main():
+        service.start()
+        for job in jobs:
+            assert service.submit(job).accepted
+        await service.stop()
+
+    asyncio.run(main())
+    assert all(r.status is JobStatus.COMPLETED for r in service.results.values())
+    assert len(service.results) == len(_MIX)
+    return service
+
+
+def _by_kind(service: SolveService):
+    """``(simulated real, dag, shadow)`` results of the mix."""
+    results = [service.results[i] for i in range(len(_MIX))]
+    kinds = list(zip(_MIX, results))
+    return (
+        [r for (scheme, numerics), r in kinds if numerics == "real" and scheme != "dag"],
+        [r for (scheme, _), r in kinds if scheme == "dag"],
+        [r for (_, numerics), r in kinds if numerics == "shadow"],
+    )
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+class TestTimelineOnlyWhenTraced:
+    """Real attempts record the simulated machine only for a traced service."""
+
+    def test_untraced_real_jobs_keep_no_timeline(self, executor):
+        service = _serve_mix(executor)
+        simulated, dag, shadow = _by_kind(service)
+        for r in simulated + dag:
+            assert r.timeline is None and r.sim_makespan is None
+        for r in shadow:
+            assert isinstance(r.timeline, Timeline) and r.sim_makespan > 0
+        makespans = service.metrics["service_sim_makespan_seconds"]
+        assert makespans.count == len(shadow)
+        assert makespans.sum == pytest.approx(sum(r.sim_makespan for r in shadow))
+
+    def test_traced_jobs_are_dumped_and_verify(self, executor, tmp_path):
+        service = _serve_mix(executor, trace_dir=tmp_path)
+        simulated, dag, shadow = _by_kind(service)
+        for r in simulated + shadow:
+            assert isinstance(r.timeline, Timeline) and r.sim_makespan > 0
+        # dag's makespan is host wall seconds: never a simulated one.
+        assert all(isinstance(r.timeline, Timeline) and r.sim_makespan is None for r in dag)
+        makespans = service.metrics["service_sim_makespan_seconds"]
+        assert makespans.count == len(simulated) + len(shadow)
+        dumps = sorted(tmp_path.glob("job-*.json"))
+        assert len(dumps) == len(_MIX)
+        for path in dumps:
+            timeline, scheme, _ = load_trace_doc(path)
+            assert timeline.spans
+            findings = find_hazards(timeline)
+            if scheme != "dag":  # the protocol rules cover the left-looking schemes
+                findings += check_protocol(timeline, scheme)
+            errors = [f for f in findings if f.severity == "error"]
+            assert errors == [], f"{path.name}: {[f.message for f in errors]}"
+
+
 class TestOpenLoopBackpressure:
     def test_open_loop_rejects_overflow_with_retry_after(self):
         cfg = LoadGenConfig(jobs=12, sizes=(96,), seed=3, rate=4000.0)
@@ -103,11 +191,11 @@ class TestRetryLadder:
 
         real_execute = service_policy.execute_attempt
 
-        def flaky(job, machine):
+        def flaky(job, machine, **kwargs):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise UnrecoverableError("injected transient failure")
-            return real_execute(job, machine)
+            return real_execute(job, machine, **kwargs)
 
         monkeypatch.setattr(service_policy, "execute_attempt", flaky)
         service = SolveService(
@@ -124,7 +212,7 @@ class TestRetryLadder:
     def test_exhausted_retries_fall_back_to_checkpoint(self, monkeypatch):
         from repro.service import policy as service_policy
 
-        def always_fails(job, machine):
+        def always_fails(job, machine, **kwargs):
             raise UnrecoverableError("injected persistent failure")
 
         monkeypatch.setattr(service_policy, "execute_attempt", always_fails)
@@ -142,7 +230,7 @@ class TestRetryLadder:
     def test_fallback_disabled_fails_the_job(self, monkeypatch):
         from repro.service import policy as service_policy
 
-        def always_fails(job, machine):
+        def always_fails(job, machine, **kwargs):
             raise UnrecoverableError("injected persistent failure")
 
         monkeypatch.setattr(service_policy, "execute_attempt", always_fails)
