@@ -1,19 +1,17 @@
-"""Regenerate every table and figure of the paper's evaluation section.
+"""Print every table and figure of the paper's evaluation section.
 
-Writes the rendered artifacts to results/ (same files the benchmark suite
-produces) and prints them.  Takes a few minutes: the full size sweeps run
-at paper scale on the simulated machines.
+Takes a few minutes: the full size sweeps run at paper scale on the
+simulated machines; ``--quick`` runs three sizes per machine.  The
+committed tables under results/ are written by the benchmark suite
+(``pytest benchmarks``), not by this script.
 
 Run:  python examples/paper_figures.py [--quick]
 """
 
-import pathlib
 import sys
 import time
 
 from repro.experiments import analytic, capability, opt1, opt2, opt3, overhead, performance
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 QUICK_SIZES = {
     "tardis": (5120, 12800, 20480),
@@ -21,9 +19,7 @@ QUICK_SIZES = {
 }
 
 
-def emit(name: str, text: str) -> None:
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / name).write_text(text + "\n")
+def emit(text: str) -> None:
     print(f"\n{'=' * 72}\n{text}")
 
 
@@ -32,19 +28,10 @@ def main() -> None:
     sizes = QUICK_SIZES if quick else {"tardis": None, "bulldozer64": None}
     t0 = time.perf_counter()
 
-    emit("table1_verification.txt", analytic.render_table1())
-    emit("table6_overall_overhead.txt", analytic.render_table6())
-
-    emit(
-        "table7_capability_tardis.txt",
-        capability.run_table7().render("Table VII — Tardis, 20480x20480 (simulated)"),
-    )
-    emit(
-        "table8_capability_bulldozer.txt",
-        capability.run_table8().render(
-            "Table VIII — Bulldozer64, 30720x30720 (simulated)"
-        ),
-    )
+    emit(analytic.render_table1())
+    emit(analytic.render_table6())
+    emit(capability.run_table7().render("Table VII — Tardis, 20480x20480 (simulated)"))
+    emit(capability.run_table8().render("Table VIII — Bulldozer64, 30720x30720 (simulated)"))
 
     for fig, machine, runner in (
         ("fig08_opt1_tardis", "tardis", opt1),
@@ -59,9 +46,9 @@ def main() -> None:
         ("fig17_performance_bulldozer", "bulldozer64", performance),
     ):
         res = runner.run(machine, sizes[machine])
-        emit(f"{fig}.txt", res.render(fig.replace("_", " ")))
+        emit(res.render(fig.replace("_", " ")))
 
-    print(f"\nall artifacts written to {RESULTS} in {time.perf_counter() - t0:.1f}s")
+    print(f"\nall tables printed in {time.perf_counter() - t0:.1f}s")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ Commands:
     wedge, shm corruption, queue flood, kill-and-restart recovery …)
     against the service with per-scenario invariants; writes
     ``BENCH_chaos.json`` and exits nonzero on any violation.
-(Regenerating every paper figure is ``python examples/paper_figures.py``.)
+(``python examples/paper_figures.py`` prints every paper figure; the
+committed ``results/`` tables are regenerated by ``pytest benchmarks``.)
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ Layout:
 - :mod:`repro.core.config` / :mod:`repro.core.base` — scheme configuration
   and the shared runtime (encode phase, recovery/restart loop, statistics).
 - :mod:`repro.core.schemes` — one left-looking loop for the three schemes
-  (Offline, Online, Enhanced), a table row each for where it verifies, and
-  the ``SCHEMES`` name → entry-point registry.
+  (Offline, Online, Enhanced) and the checkpoint baseline, a table row each
+  for where it verifies, and the ``SCHEMES`` name → entry-point registry.
 """
 
 from repro.core.base import FtPotrfResult

@@ -1,4 +1,4 @@
-"""Shared runtime for the three ABFT schemes.
+"""Shared runtime for the ABFT schemes.
 
 :class:`SchemeRun` wires together one attempt: execution context, device
 buffers, fault injector bindings, verifier, updater, streams.
@@ -6,7 +6,10 @@ buffers, fault injector bindings, verifier, updater, streams.
 scheme hits corruption it cannot correct (or a fail-stop POTF2), the run
 is abandoned, its simulated time is banked, and a fresh attempt executes
 with the injector disarmed, exactly the "re-do the decomposition, which
-costs twice the time" behaviour of Tables VII/VIII.
+costs twice the time" behaviour of Tables VII/VIII.  A scheme that
+checkpoints (:meth:`SchemeRun.checkpoint`) rolls back instead: the fresh
+attempt resumes from its newest verified snapshot, the way a
+forward-recovery resume does.
 
 ``timeline=False`` runs the same attempts without the simulated machine:
 the contexts record nothing, nothing is replayed, and the result's
@@ -162,6 +165,9 @@ class SchemeRun:
         )
         self.policy = VerificationPolicy(interval=config.verify_interval)
         self.tile_bytes = self.ctx.tile_bytes(block_size)
+        #: ``(iteration, matrix)`` of the newest snapshot, the iteration a
+        #: rollback resumes at (matrix ``None`` in shadow mode)
+        self.restart_point: tuple[int, np.ndarray | None] | None = None
 
     # -- driver conveniences ----------------------------------------------------
 
@@ -184,6 +190,20 @@ class SchemeRun:
 
     def fire(self, hook: Hook, iteration: int) -> None:
         self.injector.fire(hook, iteration)
+
+    def checkpoint(self, iteration: int) -> None:
+        """Snapshot the state just verified after *iteration* to the host.
+
+        Priced as one device→host copy of the matrix and its checksums on
+        the main stream.  Real mode keeps a copy of the matrix only: a
+        rollback re-encodes the checksums from it.
+        """
+        resume = iteration + 1
+        self.ctx.transfer_d2h(
+            self.matrix.nbytes + self.chk.nbytes, name=f"ckpt[{resume}]", stream=self.main, iteration=resume
+        )
+        data = self.matrix.blocked.data.copy() if self.matrix.real else None
+        self.restart_point = (resume, data)
 
     def publish(self, iteration: int) -> None:
         """Report iteration-boundary state to the progress sink, if any.
@@ -224,7 +244,8 @@ def run_with_recovery(
     :meth:`SchemeRun.publish` reports), and the loop skips straight to
     that iteration.  An in-scheme restart re-runs from the same resume
     point — the salvaged state, not the original matrix, is this call's
-    "pristine" input.  *progress* (real mode) receives
+    "pristine" input — or, once an attempt has checkpointed, from its
+    newest snapshot (a rollback).  *progress* (real mode) receives
     ``(iteration, matrix_data, chk_array)`` after each iteration.
     *timeline* records and replays the simulated machine (see the module
     docstring).
@@ -270,6 +291,8 @@ def run_with_recovery(
             restarts += 1
             # The injected fault was a one-shot event; do not re-inject.
             inj.disarm()
+            if run.restart_point is not None:
+                start_iteration, pristine = run.restart_point
             continue
         sim = run.ctx.simulate()
         replays.append(sim)

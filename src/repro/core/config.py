@@ -22,7 +22,9 @@ class AbftConfig:
     ----------
     verify_interval:
         K of Optimization 3 — deferrable inputs are verified every K
-        iterations (Enhanced scheme only; Online/Offline ignore it).
+        iterations (Enhanced scheme only; Online/Offline ignore it).  The
+        checkpoint baseline reads it as C, the iterations between its
+        sweeps and snapshots.
     recalc_streams:
         CUDA streams for checksum (re)calculation kernels.  1 disables
         Optimization 1; ``None`` means "the GPU's designed concurrent-kernel

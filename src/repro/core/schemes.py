@@ -1,10 +1,11 @@
-"""The three ABFT schemes: one left-looking loop and a table of where each verifies.
+"""The ABFT schemes: one left-looking loop and a table of where each verifies.
 
 Offline, Online and Enhanced Online-ABFT run the same Algorithm-1
 iteration with the same checksum updates; they differ only in *when* the
 recalculate-and-correct step runs (Section III).  The loop offers six
-verification points plus a final sweep, and a row of :data:`VERIFICATION`
-says which tiles one scheme verifies at each point:
+verification points, a checkpoint at the end of an iteration and a final
+sweep, and a row of :data:`VERIFICATION` says which tiles one scheme
+verifies at each point:
 
 - **Offline** (Huang & Abraham): only the final sweep.  A mid-run error
   has spread by then, so the run restarts (the 2× of Tables VII/VIII).
@@ -17,6 +18,12 @@ says which tiles one scheme verifies at each point:
   cross in the diagonal; GEMM's and TRSM's deferrable inputs every K
   iterations (Optimization 3).  The final sweep closes the window after
   each tile's last update.
+- **Checkpoint** (the composed baseline of
+  :func:`repro.baselines.checkpoint.checkpoint_potrf`): every lower tile
+  after every C-th iteration, then a snapshot of the verified state, and
+  the final sweep.  Its rollback is the restart of
+  :func:`~repro.core.base.run_with_recovery`, resumed from the newest
+  snapshot.
 
 Every entry point takes ``timeline``: ``False`` factors without recording
 the simulated machine (:func:`~repro.core.base.run_with_recovery`).
@@ -83,6 +90,14 @@ def _trsm_inputs(j: int, nb: int, due: bool) -> list[Key]:
     return [(j, j)] + (panel if due else [])
 
 
+def _lower_before_last(j: int, nb: int, due: bool) -> list[Key]:
+    """Every lower tile when due, except after the last iteration (the
+    final sweep's)."""
+    if not due or j == nb - 1:
+        return []
+    return [(i, k) for k in range(nb) for i in range(k, nb)]
+
+
 # -- the table -------------------------------------------------------------------
 
 #: ``(label, tiles)`` of one verification point; the batch is named ``label[j]``.
@@ -99,6 +114,9 @@ class VerificationRow:
     after_gemm: Check | None = None
     after_potf2: Check | None = None
     after_trsm: Check | None = None
+    #: at the end of an iteration, due when the *next* one is; a batch that
+    #: ran is followed by a snapshot, the restart point of a rollback
+    checkpoint: Check | None = None
     final_sweep: bool = False
 
 
@@ -117,6 +135,7 @@ VERIFICATION: dict[str, VerificationRow] = {
         after_potf2=("pre_trsm", _trsm_inputs),
         final_sweep=True,
     ),
+    "checkpoint": VerificationRow(checkpoint=("sweep", _lower_before_last), final_sweep=True),
 }
 
 
@@ -125,16 +144,19 @@ VERIFICATION: dict[str, VerificationRow] = {
 
 def _verify_point(
     run: SchemeRun, check: Check | None, j: int, due: bool, writer: Task | None, panel_writer: Task | None = None
-) -> None:
+) -> Task | None:
     """Launch one point's batch after the updating so far and the tiles' last
-    writer (*panel_writer* too when the batch holds panel tiles)."""
+    writer (*panel_writer* too when the batch holds panel tiles); return its
+    barrier, or None when the point verifies nothing."""
     if check is None:
-        return
+        return None
     label, tiles = check
     keys = tiles(j, run.nb, due)
     holds_panel = panel_writer is not None and any(i > j for i, _ in keys)
     after = deps_of(run.updater.last_task, writer, panel_writer if holds_panel else None)
-    run.chain_main(run.verifier.verify_batch(keys, f"{label}[{j}]", after=after, iteration=j))
+    verified = run.verifier.verify_batch(keys, f"{label}[{j}]", after=after, iteration=j)
+    run.chain_main(verified)
+    return verified
 
 
 def _factor_left_looking(run: SchemeRun) -> None:
@@ -189,6 +211,8 @@ def _factor_left_looking(run: SchemeRun) -> None:
         # The storage-error window: a flip landing here is seen only by the
         # next check of the tile, if any.
         run.fire(Hook.STORAGE_WINDOW, j)
+        if _verify_point(run, row.checkpoint, j, run.policy.due(j + 1), main.last):
+            run.checkpoint(j)
         run.publish(j)
 
     if row.final_sweep:

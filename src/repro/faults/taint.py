@@ -114,14 +114,6 @@ class TaintState:
         self.cols |= other.cols
         self._notify()
 
-    def copy(self) -> "TaintState":
-        return TaintState(
-            points=set(self.points),
-            rows=set(self.rows),
-            cols=set(self.cols),
-            full=self.full,
-        )
-
     # -- kernel propagation ------------------------------------------------------
     #
     # For C -= A @ B^T (GEMM; SYRK is the A == B case):

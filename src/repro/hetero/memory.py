@@ -152,7 +152,6 @@ class _Segment:
 
     shm: shared_memory.SharedMemory
     size_class: int
-    epoch: int
     finalizer: weakref.finalize
     last_used: int = 0
 
@@ -173,11 +172,9 @@ class SharedArena:
     close (trimmed names are published via :meth:`drain_retired` so the
     executor can tell workers to drop stale mappings).
 
-    :meth:`mark_stale` condemns every current segment (transport saw the
-    backing file vanish or rot underneath us); healing is deferred to the
-    next :meth:`lease`, by which point the caller's views are out of
-    scope and the purge can actually run.  ``end_lease`` of a condemned
-    descriptor is a silent no-op.
+    :meth:`discard` drops one segment whose backing file vanished or
+    rotted underneath us; ``end_lease`` of a discarded descriptor is a
+    silent no-op.
 
     Every created segment carries a ``weakref.finalize`` safety net: if
     the owning executor dies without :meth:`release` (abnormal shutdown),
@@ -189,7 +186,6 @@ class SharedArena:
         self.tag = tag
         self.high_water_bytes = int(high_water_bytes)
         self._seq = 0
-        self._epoch = 0
         self._clock = 0
         self._segments: dict[str, _Segment] = {}
         self._leased: set[str] = set()
@@ -217,22 +213,13 @@ class SharedArena:
     def leased_names(self) -> set[str]:
         return set(self._leased)
 
-    # -- staleness / targeted teardown ----------------------------------
-
-    def mark_stale(self) -> None:
-        """Condemn every current segment (backing gone/corrupt underneath us).
-
-        Healing is deferred to the next :meth:`lease` — by then the
-        caller's views of the old segments are out of scope, so the
-        purge can actually close the mappings.
-        """
-        self._epoch += 1
+    # -- targeted teardown -----------------------------------------------
 
     def discard(self, name: str) -> None:
         """Drop one segment by name (its file vanished or rotted).
 
-        Unlike :meth:`mark_stale` this is immediate and targeted: other
-        segments' leases stay valid.  Unknown names are ignored.
+        Immediate and targeted: other segments' leases stay valid.
+        Unknown names are ignored.
         """
         seg = self._segments.pop(name, None)
         if seg is None:
@@ -268,22 +255,9 @@ class SharedArena:
 
     # -- lease lifecycle -------------------------------------------------
 
-    def _purge_stale(self) -> None:
-        condemned = [n for n, seg in self._segments.items() if seg.epoch != self._epoch]
-        for name in condemned:
-            seg = self._segments.pop(name)
-            self._leased.discard(name)
-            names = self._free.get(seg.size_class)
-            if names and name in names:
-                names.remove(name)
-            seg.finalizer.detach()
-            _reap_segment(seg.shm)
-            self._retired.append(name)
-
     def lease(self, shape: tuple[int, ...], dtype: str = "float64") -> tuple[np.ndarray, ShmDescriptor]:
         nbytes = ShmDescriptor("", tuple(int(d) for d in shape), str(dtype)).nbytes
         check_positive("arena lease nbytes", nbytes)
-        self._purge_stale()
         cls = _size_class(nbytes)
         names = self._free.get(cls)
         if names:
@@ -297,7 +271,6 @@ class SharedArena:
             seg = _Segment(
                 shm=shm,
                 size_class=cls,
-                epoch=self._epoch,
                 finalizer=weakref.finalize(self, _reap_segment, shm),
             )
             self._segments[name] = seg
@@ -321,8 +294,8 @@ class SharedArena:
     def end_lease(self, desc: ShmDescriptor) -> None:
         """Return a leased segment to the free-list, then trim cold ones.
 
-        Descriptors whose segment was condemned (:meth:`mark_stale`) or
-        dropped (:meth:`discard`) in the meantime are silently ignored.
+        Descriptors whose segment was dropped (:meth:`discard`) in the
+        meantime are silently ignored.
         """
         if desc.name not in self._leased:
             return
@@ -412,21 +385,6 @@ class DeviceBuffer:
 
     def tainted_keys(self) -> list[tuple[int, int]]:
         return list(self._dirty)
-
-    def snapshot_taint(self) -> dict[tuple[int, int], TaintState]:
-        """Deep copy of the current taint map (checkpointing support)."""
-        return {k: t.copy() for k, t in self._taint.items()}
-
-    def restore_taint(self, snapshot: dict[tuple[int, int], TaintState]) -> None:
-        """Replace the taint map with a prior snapshot (rollback support)."""
-        self._taint = {}
-        self._dirty = {}
-        for k, t in snapshot.items():
-            state = t.copy()
-            state.bind(self, k)
-            self._taint[k] = state
-            if not state.is_clean():
-                self._dirty[k] = None
 
     # ------------------------------------------------------------- tile views
 

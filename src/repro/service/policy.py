@@ -12,7 +12,8 @@ recovery on top of detection:
    the job with exponential backoff up to ``max_retries``;
 3. the last rung swaps the scheme for the composed-resilience baseline,
    :func:`repro.baselines.checkpoint.checkpoint_potrf`, whose rollback
-   recovery is bounded by the checkpoint interval;
+   recovery is bounded by the checkpoint interval (its rollbacks count as
+   the outcome's ``restarts``);
 4. only then is the job failed.
 
 Faults stay one-shot events throughout: a job's injector is disarmed
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.baselines.checkpoint import checkpoint_potrf
 from repro.blas.spd import random_spd
-from repro.core import SCHEMES, AbftConfig
+from repro.core import SCHEMES, AbftConfig, FtPotrfResult
 from repro.core.correct import VerifyStats
 from repro.desim.trace import Timeline
 from repro.hetero.machine import Machine
@@ -155,52 +156,12 @@ def execute_attempt(
     Raises the scheme's own exceptions (``RestartExhaustedError`` etc.) on
     unrecoverable outcomes; the async layer turns those into retries.
     """
-    potrf = _SCHEMES[job.scheme]
-    config = AbftConfig(
-        verify_interval=job.verify_interval, dag_workers=job.intra_workers
-    )
-    injector = job.injector
-    extra_kwargs = {}
+    kwargs: dict = {
+        "config": AbftConfig(verify_interval=job.verify_interval, dag_workers=job.intra_workers)
+    }
     if progress is not None and job.scheme in RESUMABLE_SCHEMES and job.numerics == "real":
-        extra_kwargs["progress"] = progress
-    if job.numerics == "real":
-        if a is None:
-            a = job_matrix(job)
-        pristine = _pristine_copy(a, scratch)
-        res = potrf(
-            machine,
-            a=a,
-            block_size=job.block_size,
-            config=config,
-            injector=injector,
-            timeline=timeline,
-            **extra_kwargs,
-        )
-        factor = res.factor
-        residual = factorization_residual(pristine, factor)
-    else:
-        res = potrf(
-            machine,
-            n=job.n,
-            block_size=job.block_size,
-            config=config,
-            injector=injector,
-            numerics="shadow",
-        )
-        residual = None
-        factor = None
-    return AttemptOutcome(
-        # dag's makespan is host wall seconds: the job's exec_s says that already.
-        sim_makespan=res.makespan if job.scheme in SCHEMES else None,
-        corrected_errors=res.stats.data_corrections + res.stats.checksum_corrections,
-        restarts=res.restarts,
-        residual=residual,
-        timeline=res.timeline,
-        corrected_sites=list(res.stats.corrected_sites),
-        stats=res.stats,
-        factor=factor,
-        runtime=getattr(res, "runtime", None),
-    )
+        kwargs["progress"] = progress
+    return _execute(job, machine, _SCHEMES[job.scheme], a, scratch, timeline, **kwargs)
 
 
 def execute_fallback(
@@ -213,44 +174,44 @@ def execute_fallback(
 ) -> AttemptOutcome:
     """Last-rung execution under the checkpoint/rollback baseline (blocking).
 
-    *timeline* as for :func:`execute_attempt`.
+    *a*, *scratch* and *timeline* as for :func:`execute_attempt`.
     """
     if job.injector is not None:
         job.injector.disarm()  # the fault already happened; replay clean
+    outcome = _execute(
+        job, machine, checkpoint_potrf, a, scratch, timeline, interval=policy.checkpoint_interval
+    )
+    outcome.fallback_used = True
+    return outcome
+
+
+def _execute(job: Job, machine: Machine, potrf, a, scratch, timeline: bool, **kwargs) -> AttemptOutcome:
+    """Run *potrf* on *job*: a real job in place on its input, then the
+    residual gate against a pristine copy; a shadow job by its order."""
     if job.numerics == "real":
         if a is None:
             a = job_matrix(job)
         pristine = _pristine_copy(a, scratch)
-        res = checkpoint_potrf(
-            machine,
-            a=a,
-            block_size=job.block_size,
-            interval=policy.checkpoint_interval,
-            injector=job.injector,
-            timeline=timeline,
+        res = potrf(
+            machine, a=a, block_size=job.block_size, injector=job.injector, timeline=timeline, **kwargs
         )
         factor = res.factor
         residual = factorization_residual(pristine, factor)
     else:
-        res = checkpoint_potrf(
-            machine,
-            n=job.n,
-            block_size=job.block_size,
-            interval=policy.checkpoint_interval,
-            injector=job.injector,
-            numerics="shadow",
+        res = potrf(
+            machine, n=job.n, block_size=job.block_size, injector=job.injector, numerics="shadow", **kwargs
         )
         residual = None
         factor = None
     return AttemptOutcome(
-        sim_makespan=res.makespan,
+        # dag's makespan is host wall seconds: the job's exec_s says that already.
+        sim_makespan=res.makespan if isinstance(res, FtPotrfResult) else None,
         corrected_errors=res.stats.data_corrections + res.stats.checksum_corrections,
-        restarts=res.rollbacks,
+        restarts=res.restarts,
         residual=residual,
         timeline=res.timeline,
-        fallback_used=True,
-        extras={"checkpoints_taken": res.checkpoints_taken},
         corrected_sites=list(res.stats.corrected_sites),
         stats=res.stats,
         factor=factor,
+        runtime=getattr(res, "runtime", None),
     )

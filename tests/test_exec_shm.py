@@ -80,16 +80,6 @@ class TestArenaLifecycle:
         del view
         arena.release()
 
-    def test_mark_stale_heals_on_next_lease(self):
-        arena = SharedArena("shmtest-stale")
-        _, first = arena.lease((4, 4))
-        arena.mark_stale()
-        _, second = arena.lease((4, 4))
-        assert second.name != first.name
-        assert not (SHM_DIR / first.name).exists()
-        assert (SHM_DIR / second.name).exists()
-        arena.release()
-
 
 class TestPoolLeaks:
     def test_stop_leaves_no_shm_residue(self):

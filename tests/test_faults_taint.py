@@ -27,12 +27,6 @@ class TestBasics:
         t.merge(TaintState(full=True))
         assert t.full and not t.points
 
-    def test_copy_independent(self):
-        t = point(1, 1)
-        c = t.copy()
-        c.add_point(2, 2)
-        assert (2, 2) not in t.points
-
 
 class TestCorrectable:
     def test_single_point(self):

@@ -6,6 +6,7 @@ distinguishing claims of the paper as executable assertions.
 
 import pytest
 
+from repro.baselines.checkpoint import checkpoint_potrf
 from repro.blas.spd import random_spd
 from repro.core import SCHEMES, AbftConfig, enhanced_potrf, offline_potrf, online_potrf
 from repro.faults.injector import (
@@ -178,13 +179,15 @@ class TestEveryHookFires:
     j = 0, no TRSM on the last iteration)."""
 
     NB = 4
+    #: the three schemes and the checkpoint baseline, which runs the same loop
+    POTRF = {**SCHEMES, "checkpoint": checkpoint_potrf}
 
     @pytest.mark.parametrize("iteration", [0, NB - 1, -1])
     @pytest.mark.parametrize(
         "hook",
         [Hook.AFTER_SYRK, Hook.AFTER_GEMM, Hook.AFTER_POTF2, Hook.AFTER_TRSM, Hook.STORAGE_WINDOW],
     )
-    @pytest.mark.parametrize("scheme", ["offline", "online", "enhanced"])
+    @pytest.mark.parametrize("scheme", ["offline", "online", "enhanced", "checkpoint"])
     def test_plan_fires_at_its_iteration(self, tardis, scheme, hook, iteration):
         kind = "storage" if hook is Hook.STORAGE_WINDOW else "computing"
         plan = FaultPlan(
@@ -192,7 +195,18 @@ class TestEveryHookFires:
         )
         inj = FaultInjector([plan])
         a = random_spd(self.NB * 32, rng=5)
-        SCHEMES[scheme](tardis, a=a, block_size=32, injector=inj)
+        self.POTRF[scheme](tardis, a=a, block_size=32, injector=inj)
         assert not inj.armed
         # -1 means "the first time the hook fires", which is iteration 0.
         assert [f.iteration for f in inj.fired] == [max(iteration, 0)]
+
+    @pytest.mark.parametrize("scheme", ["offline", "online", "enhanced", "checkpoint"])
+    def test_before_factorization_fires_once(self, tardis, scheme):
+        plan = FaultPlan(
+            hook=Hook.BEFORE_FACTORIZATION, iteration=-1, kind="storage", block=(self.NB - 1, 0), coord=(3, 5)
+        )
+        inj = FaultInjector([plan])
+        a = random_spd(self.NB * 32, rng=5)
+        self.POTRF[scheme](tardis, a=a, block_size=32, injector=inj)
+        assert not inj.armed
+        assert [f.iteration for f in inj.fired] == [-1]

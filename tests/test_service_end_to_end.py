@@ -172,6 +172,48 @@ class TestTimelineOnlyWhenTraced:
             assert errors == [], f"{path.name}: {[f.message for f in errors]}"
 
 
+@pytest.mark.parametrize("executor", ["thread", "process"])
+class TestFallbackTraces:
+    """A job whose every attempt fails falls back to the checkpoint baseline,
+    and its dumped trace re-verifies under the offline rules."""
+
+    def test_fallback_dump_verifies(self, executor, tmp_path, monkeypatch):
+        from repro.service import policy as service_policy
+
+        retry = RetryPolicy(max_retries=1, base_backoff_s=0.001)
+        service = SolveService(
+            ServiceConfig(
+                workers=("tardis:1",), executor=executor, exec_workers=1, retry=retry, trace_dir=tmp_path
+            )
+        )
+
+        def always_fails(job, machine, **kwargs):
+            raise UnrecoverableError("injected persistent failure")
+
+        async def main():
+            if executor == "process":
+                # Pool workers import their own policy module: crash them instead.
+                await service.start_executor()
+                service.executor.inject_crash(count=1 + retry.max_retries)
+            else:
+                monkeypatch.setattr(service_policy, "execute_attempt", always_fails)
+            service.start()
+            assert service.submit(Job(job_id=0, n=256, block_size=32, seed=0)).accepted
+            await service.stop()
+
+        asyncio.run(main())
+        result = service.results[0]
+        assert result.status is JobStatus.COMPLETED and result.fallback_used
+        assert result.attempts == 1 + retry.max_retries
+        assert result.residual is not None and result.residual < 1e-10
+        timeline, scheme, job_id = load_trace_doc(tmp_path / "job-0.json")
+        assert (scheme, job_id) == ("offline", 0)
+        assert [s.name for s in timeline if s.name.startswith("ckpt[")] == ["ckpt[2]", "ckpt[4]", "ckpt[6]"]
+        findings = check_protocol(timeline, scheme) + find_hazards(timeline)
+        errors = [f for f in findings if f.severity == "error"]
+        assert errors == [], [f.message for f in errors[:3]]
+
+
 class TestOpenLoopBackpressure:
     def test_open_loop_rejects_overflow_with_retry_after(self):
         cfg = LoadGenConfig(jobs=12, sizes=(96,), seed=3, rate=4000.0)

@@ -71,7 +71,7 @@ REAL_CASES = {
 
 
 def _taint(buffer: DeviceBuffer) -> tuple:
-    dirty = {k: t for k, t in buffer.snapshot_taint().items() if not t.is_clean()}
+    dirty = {k: t for k, t in buffer._taint.items() if not t.is_clean()}
     return buffer.name, buffer.tainted_keys(), dirty
 
 
