@@ -54,6 +54,11 @@ def checkpoint_potrf(
     times (``restarts`` counts the rollbacks).  ``timeline=False`` skips
     the simulated machine: the result's ``makespan`` and ``timeline`` are
     ``None``.
+
+    Real mode factors *a* in place: it must be a writeable, C-contiguous
+    float64 array.  On success it holds L with zeros above the diagonal,
+    and ``factor`` is *a*.  A call that raises, after rollbacks too,
+    leaves *a* equal to the input, not to a snapshot.
     """
     require(interval >= 1, "checkpoint interval must be >= 1")
     config = AbftConfig(

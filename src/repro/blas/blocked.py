@@ -88,6 +88,16 @@ class BlockedMatrix:
         """Copy of the element-wise lower triangle (strict upper zeroed)."""
         return np.tril(self._data)
 
+    def zero_upper(self) -> None:
+        """Zero the strict upper triangle in place, with the ``+0.0`` that
+        ``np.tril`` writes: the tiles right of the diagonal, then the strict
+        upper part of each diagonal tile."""
+        b = self.block_size
+        strict_upper = ~np.tri(b, dtype=bool)
+        for i in range(self.nb):
+            self._data[i * b : (i + 1) * b, (i + 1) * b :] = 0.0
+            self.block(i, i)[strict_upper] = 0.0
+
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.nb and 0 <= j < self.nb):
             # IndexError is the contract __getitem__-style accessors must

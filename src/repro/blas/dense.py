@@ -34,6 +34,10 @@ _STRICT_LOWER = np.tri(TRSM_BLOCK, k=-1, dtype=bool)
 #: 2**1022: the inverse of a subnormal pivot is at least this large.
 _INVERSE_LIMIT = 1.0 / np.finfo(np.float64).tiny
 
+#: Memo of :func:`trsm_right_lt`'s diagonal-block inverses, keyed by each
+#: block's bytes; ``None`` marks a block solved by substitution.
+Inverses = dict[bytes, np.ndarray | None]
+
 
 def syrk_update(c: np.ndarray, a: np.ndarray) -> None:
     """Symmetric rank-k update ``C -= A @ A^T`` (in place, full storage).
@@ -114,7 +118,7 @@ def _failing_pivot(a: np.ndarray) -> tuple[int, float]:
     return j, float(pivots[j])
 
 
-def trsm_right_lt(b: np.ndarray, ell: np.ndarray) -> None:
+def trsm_right_lt(b: np.ndarray, ell: np.ndarray, inverses: Inverses | None = None) -> None:
     """Solve ``X · L^T = B`` in place: ``B ← B · L^{-T}`` (right, lower, trans).
 
     *b* is m×n, *ell* is the n×n lower-triangular Cholesky factor; only its
@@ -134,6 +138,13 @@ def trsm_right_lt(b: np.ndarray, ell: np.ndarray) -> None:
     column substitution instead.  So the kernel never raises on such a
     factor: the affected columns come out non-finite, and verification
     catches them.
+
+    *inverses* memoizes the diagonal blocks' inverses across the solves
+    that share it (one factorization attempt's, which solve against each
+    factor tile several times).  An entry is keyed by the block's bytes, so
+    a block rewritten between two solves misses and is inverted again:
+    every solve gets what inverting afresh would give.  Threads may share
+    the dict; two that miss together store the same bits.
     """
     check_dtype("b", b)
     n = check_square("ell", ell)
@@ -143,7 +154,13 @@ def trsm_right_lt(b: np.ndarray, ell: np.ndarray) -> None:
         if s:
             b[:, s:e] -= b[:, :s] @ ell[s:e, :s].T
         diag = ell[s:e, s:e]
-        inv_t = _inverse_transpose(diag)
+        if inverses is None:
+            inv_t = _inverse_transpose(diag)
+        else:
+            key = diag.tobytes()
+            if key not in inverses:
+                inverses[key] = _inverse_transpose(diag)
+            inv_t = inverses[key]
         if inv_t is None:
             _substitute(b[:, s:e], diag)
         else:
@@ -169,7 +186,10 @@ def _inverse_transpose(diag: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     inv_t[lower] = 0.0
-    return inv_t if np.abs(inv_t).max() < _INVERSE_LIMIT else None  # False on NaN
+    if not np.abs(inv_t).max() < _INVERSE_LIMIT:  # True on NaN
+        return None
+    inv_t.flags.writeable = False  # a memoized inverse is shared
+    return inv_t
 
 
 def _substitute(b: np.ndarray, ell: np.ndarray) -> None:

@@ -40,7 +40,7 @@ from repro.util.exceptions import (
     SingularBlockError,
     UnrecoverableError,
 )
-from repro.util.validation import check_block_size, check_square, require
+from repro.util.validation import check_block_size, check_in_place, require
 
 
 def deps_of(*tasks: Task | None) -> list[Task] | None:
@@ -80,9 +80,10 @@ class FtPotrfResult:
 
     @property
     def factor(self) -> np.ndarray:
-        """The lower-triangular factor L (real mode only)."""
+        """The lower-triangular factor L (real mode only): the caller's *a*
+        itself, factored in place with zeros above the diagonal."""
         require(self.matrix.real, "no numeric factor in shadow mode")
-        return np.tril(self.matrix.blocked.data)
+        return self.matrix.blocked.data
 
     #: Task kinds attributable to fault tolerance (vs. the factorization).
     FT_KINDS = (
@@ -239,6 +240,11 @@ def run_with_recovery(
 ) -> FtPotrfResult:
     """Execute *loop_body(run)* with the restart-on-unrecoverable protocol.
 
+    Real mode factors *a* in place: it must be a writeable, C-contiguous
+    float64 array.  On success *a* holds L with zeros above the diagonal,
+    and the result's ``factor`` is *a*.  A call that raises leaves *a* as
+    it was.
+
     *start_iteration* > 0 resumes a partially factored matrix: *a* must
     hold columns ``0..start_iteration-1`` already final (the state
     :meth:`SchemeRun.publish` reports), and the loop skips straight to
@@ -252,68 +258,72 @@ def run_with_recovery(
     """
     cfg = config if config is not None else AbftConfig()
     inj = injector if injector is not None else no_faults()
-    if numerics == "real":
+    real = numerics == "real"
+    if real:
         require(a is not None, "real mode requires the matrix a")
-        n = check_square("a", a)
-        pristine = a.copy()
+        n = check_in_place("a", a)
     else:
         require(n is not None, "shadow mode requires n")
-        pristine = None
     bs = block_size if block_size is not None else machine.default_block_size
     nb = check_block_size(n, bs)
     require(0 <= start_iteration <= nb, "start_iteration out of range")
 
+    # The one copy a real call keeps: what a restart, and a raise, put back.
+    pristine = a.copy() if real else None
+    restart_from = pristine
     replays: list[SimulationResult | None] = []  # one per attempt
     restarts = 0
-    for attempt in range(cfg.max_restarts + 1):
-        work = None
-        if numerics == "real":
-            # Factor a fresh copy each attempt; the caller's array receives
-            # the final successful factor below.
-            work = pristine.copy()
-        run = SchemeRun(
-            scheme,
-            machine,
-            n,
-            bs,
-            cfg,
-            inj,
-            numerics,
-            work,
-            start_iteration=start_iteration,
-            progress=progress,
-            timeline=timeline,
+    try:
+        for attempt in range(cfg.max_restarts + 1):
+            if real and attempt:
+                np.copyto(a, restart_from)
+            run = SchemeRun(
+                scheme,
+                machine,
+                n,
+                bs,
+                cfg,
+                inj,
+                numerics,
+                a,
+                start_iteration=start_iteration,
+                progress=progress,
+                timeline=timeline,
+            )
+            try:
+                loop_body(run)
+            except (UnrecoverableError, SingularBlockError):
+                replays.append(run.ctx.simulate())
+                restarts += 1
+                # The injected fault was a one-shot event; do not re-inject.
+                inj.disarm()
+                if run.restart_point is not None:
+                    start_iteration, restart_from = run.restart_point
+                continue
+            sim = run.ctx.simulate()
+            replays.append(sim)
+            makespans = [r.makespan for r in replays if r is not None]
+            if real:
+                run.matrix.blocked.zero_upper()
+            return FtPotrfResult(
+                scheme=scheme,
+                machine=machine.name,
+                n=n,
+                block_size=bs,
+                makespan=None if sim is None else sum(makespans),
+                restarts=restarts,
+                stats=run.stats,
+                timeline=None if sim is None else sim.timeline,
+                matrix=run.matrix,
+                placement=run.placement,
+                config=cfg,
+                attempt_makespans=makespans,
+                failed_timelines=[r.timeline for r in replays[:-1] if r is not None],
+            )
+        raise RestartExhaustedError(
+            f"{scheme}: still unrecoverable after {cfg.max_restarts} restart(s)"
         )
-        try:
-            loop_body(run)
-        except (UnrecoverableError, SingularBlockError):
-            replays.append(run.ctx.simulate())
-            restarts += 1
-            # The injected fault was a one-shot event; do not re-inject.
-            inj.disarm()
-            if run.restart_point is not None:
-                start_iteration, pristine = run.restart_point
-            continue
-        sim = run.ctx.simulate()
-        replays.append(sim)
-        makespans = [r.makespan for r in replays if r is not None]
-        if numerics == "real":
-            a[:] = work
-        return FtPotrfResult(
-            scheme=scheme,
-            machine=machine.name,
-            n=n,
-            block_size=bs,
-            makespan=None if sim is None else sum(makespans),
-            restarts=restarts,
-            stats=run.stats,
-            timeline=None if sim is None else sim.timeline,
-            matrix=run.matrix,
-            placement=run.placement,
-            config=cfg,
-            attempt_makespans=makespans,
-            failed_timelines=[r.timeline for r in replays[:-1] if r is not None],
-        )
-    raise RestartExhaustedError(
-        f"{scheme}: still unrecoverable after {cfg.max_restarts} restart(s)"
-    )
+    except BaseException:
+        if real:
+            np.copyto(a, pristine)
+        raise

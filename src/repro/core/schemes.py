@@ -234,7 +234,13 @@ def offline_potrf(
     numerics: str = "real",
     timeline: bool = True,
 ) -> FtPotrfResult:
-    """Factor with Offline-ABFT protection (verify-at-the-end)."""
+    """Factor with Offline-ABFT protection (verify-at-the-end).
+
+    Real mode factors *a* in place: *a* must be a writeable, C-contiguous
+    float64 array.  On success it holds L with zeros above the diagonal,
+    and the result's ``factor`` is *a*; a call that raises leaves *a* as
+    it was.
+    """
     return run_with_recovery(
         "offline", _factor_left_looking, machine, a, n, block_size, config, injector, numerics,
         timeline=timeline,
@@ -253,7 +259,13 @@ def online_potrf(
     progress=None,
     timeline: bool = True,
 ) -> FtPotrfResult:
-    """Factor with Online-ABFT protection (post-update verification)."""
+    """Factor with Online-ABFT protection (post-update verification).
+
+    Real mode factors *a* in place: *a* must be a writeable, C-contiguous
+    float64 array.  On success it holds L with zeros above the diagonal,
+    and the result's ``factor`` is *a*; a call that raises leaves *a* as
+    it was.
+    """
     return run_with_recovery(
         "online", _factor_left_looking, machine, a, n, block_size, config, injector, numerics,
         start_iteration=start_iteration, progress=progress, timeline=timeline,
@@ -272,7 +284,13 @@ def enhanced_potrf(
     progress=None,
     timeline: bool = True,
 ) -> FtPotrfResult:
-    """Factor with Enhanced Online-ABFT (pre-access verification)."""
+    """Factor with Enhanced Online-ABFT (pre-access verification).
+
+    Real mode factors *a* in place: *a* must be a writeable, C-contiguous
+    float64 array.  On success it holds L with zeros above the diagonal,
+    and the result's ``factor`` is *a*; a call that raises leaves *a* as
+    it was.
+    """
     return run_with_recovery(
         "enhanced", _factor_left_looking, machine, a, n, block_size, config, injector, numerics,
         start_iteration=start_iteration, progress=progress, timeline=timeline,

@@ -239,7 +239,7 @@ class ChecksumUpdater:
         b = self.matrix.block_size
 
         def numerics() -> None:
-            trsm_right_lt(self.chk.strip(j, j), self.matrix.block(j, j))
+            trsm_right_lt(self.chk.strip(j, j), self.matrix.block(j, j), self.matrix.inverses)
 
         task = self._issue(
             f"chkupd_potf2[{j}]",
@@ -270,7 +270,9 @@ class ChecksumUpdater:
             # tolerance — and the call is unconditional, so both
             # verification modes see identical strips).
             trsm_right_lt(
-                self.chk.strip_panel(j + 1, nb, j, j + 1), self.matrix.block(j, j)
+                self.chk.strip_panel(j + 1, nb, j, j + 1),
+                self.matrix.block(j, j),
+                self.matrix.inverses,
             )
 
         task = self._issue(

@@ -15,8 +15,8 @@ is what pins batched/singleton bit-identity by construction):
 2. the batch payload (job records, preset names, shm *descriptors*, plus
    the names of any segments the arena trimmed since last time) is
    pickled and queued as **one wire message / one worker wakeup**; the
-   worker factors each shared view in place, writes factor bytes back
-   through the same segments, and streams one reply per item as it
+   worker factors each shared view in place, which leaves the factor
+   bytes in the same segments, and streams one reply per item as it
    completes;
 3. the parent waits on the outbox and the worker's process sentinel
    together — a dead process (crash, OOM kill, test-injected

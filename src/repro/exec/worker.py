@@ -142,9 +142,10 @@ def run_task(payload: dict, state: WorkerState, outbox: Any = None) -> Any:
 
     Real-mode matrices arrive and leave through the payload's shm
     descriptor: the parent filled the segment with the job's input bits,
-    and the factored bytes are written back into the same segment (the
-    outcome's ``factor`` field is stripped before pickling —
-    ``extras["factor_in_shm"]`` tells the parent to reattach it).
+    and the attempt factors the segment in place, so the factor is already
+    there (the outcome's ``factor`` field, a view of the segment, is
+    stripped before pickling — ``extras["factor_in_shm"]`` tells the
+    parent to reattach it).
 
     When the payload carries a ``snapshot`` descriptor, the attempt's
     driver publishes iteration-boundary state into that segment
@@ -183,14 +184,12 @@ def run_task(payload: dict, state: WorkerState, outbox: Any = None) -> Any:
     else:
         outcome = execute_fallback(job, machine, payload["retry"], a=a, scratch=scratch, timeline=timeline)
     if desc is not None and outcome.factor is not None:
-        view = state.view(desc)
-        np.copyto(view, outcome.factor)
         outcome.factor = None
         outcome.extras["factor_in_shm"] = True
         # Integrity stamp: the parent re-hashes the segment after copying
         # the factor out; a mismatch means the bytes were scribbled on in
         # transit and the attempt is retried instead of returned.
-        outcome.extras["factor_crc"] = zlib.crc32(view)
+        outcome.extras["factor_crc"] = zlib.crc32(a)
     return outcome
 
 

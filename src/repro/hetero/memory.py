@@ -30,6 +30,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.blas.blocked import BlockedMatrix
+from repro.blas.dense import Inverses
 from repro.faults.taint import TaintState
 from repro.util.exceptions import ValidationError
 from repro.util.validation import check_block_size, check_positive, require
@@ -425,7 +426,9 @@ class DeviceMatrix(DeviceBuffer):
     """An n×n tiled matrix resident in simulated GPU memory.
 
     In real mode it wraps a :class:`BlockedMatrix` (zero-copy tile views);
-    in shadow mode only the geometry exists.
+    in shadow mode only the geometry exists.  A matrix lives for one
+    factorization attempt, and so does :attr:`inverses`, the memo every
+    solve against its factor tiles shares.
     """
 
     def __init__(
@@ -442,6 +445,9 @@ class DeviceMatrix(DeviceBuffer):
             require(blocked.n == n, "blocked matrix order mismatch")
             require(blocked.block_size == block_size, "block size mismatch")
         self.blocked = blocked
+        #: diagonal-block inverses of the solves against this matrix's
+        #: tiles (:func:`~repro.blas.dense.trsm_right_lt`'s memo)
+        self.inverses: Inverses = {}
         super().__init__(
             name,
             nbytes=n * n * _DOUBLE,

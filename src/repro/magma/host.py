@@ -43,6 +43,6 @@ def host_blocked_potrf(a: np.ndarray, block_size: int) -> np.ndarray:
 
 def factorization_residual(a_original: np.ndarray, ell: np.ndarray) -> float:
     """Relative residual ‖L·Lᵀ − A‖_F / ‖A‖_F."""
-    return float(
-        np.linalg.norm(ell @ ell.T - a_original) / np.linalg.norm(a_original)
-    )
+    residual = ell @ ell.T
+    residual -= a_original
+    return float(np.linalg.norm(residual) / np.linalg.norm(a_original))

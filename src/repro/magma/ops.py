@@ -175,7 +175,9 @@ def trsm_op(
         return None
 
     def numerics() -> None:
-        dense.trsm_right_lt(matrix.blocked.panel(j + 1, nb, j, j + 1), matrix.block(j, j))
+        dense.trsm_right_lt(
+            matrix.blocked.panel(j + 1, nb, j, j + 1), matrix.block(j, j), matrix.inverses
+        )
 
     task = ctx.launch_gpu(
         f"trsm[{j}]",

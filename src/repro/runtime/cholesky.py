@@ -154,7 +154,7 @@ def _potf2_body(
         diag = matrix.block(j, j)
         dense.potf2(diag, block_index=j)
         inj.fire_plans(fires, j)
-        trsm_right_lt(chk.strip(j, j), diag)
+        trsm_right_lt(chk.strip(j, j), diag, matrix.inverses)
 
     return _body_potf2
 
@@ -169,9 +169,9 @@ def _trsm_body(
 ) -> Callable[[], None]:
     def _body_trsm() -> None:
         diag = matrix.block(j, j)
-        trsm_right_lt(matrix.block(i, j), diag)
+        trsm_right_lt(matrix.block(i, j), diag, matrix.inverses)
         inj.fire_plans(fires, j)
-        trsm_right_lt(chk.strip(i, j), diag)
+        trsm_right_lt(chk.strip(i, j), diag, matrix.inverses)
 
     return _body_trsm
 

@@ -79,6 +79,7 @@ class DagExecutor:
         self._completed = 0
         self._failures: list[tuple[int, BaseException]] = []
         self._stop_dispatch = False
+        self._live = 0  # worker threads still running (threaded path)
         self._cond = threading.Condition()
         # per-iteration completion tracking for the lookahead throttle
         iters = [t.iteration for t in graph.tasks]
@@ -181,17 +182,22 @@ class DagExecutor:
                 self._cond.wait(timeout=0.02)
 
     def _worker(self, t0: float) -> None:
-        while (task := self._fetch()) is not None:
-            try:
-                self._execute(task, t0)
-            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+        try:
+            while (task := self._fetch()) is not None:
+                try:
+                    self._execute(task, t0)
+                except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                    with self._cond:
+                        self._failures.append((task.index, exc))
+                        self._stop_dispatch = True
+                        self._cond.notify_all()
+                    return
                 with self._cond:
-                    self._failures.append((task.index, exc))
-                    self._stop_dispatch = True
+                    self._note_done(task)
                     self._cond.notify_all()
-                return
+        finally:
             with self._cond:
-                self._note_done(task)
+                self._live -= 1
                 self._cond.notify_all()
 
     def _run_threaded(self) -> None:
@@ -202,12 +208,25 @@ class DagExecutor:
             threading.Thread(target=self._worker, args=(t0,), name=f"dag-worker-{i}", daemon=True)
             for i in range(self.workers)
         ]
+        self._live = len(threads)
         for thread in threads:
             thread.start()
         # A worker exits once the graph completes, or, after a failure,
         # once its in-flight task drains.
-        for thread in threads:
-            thread.join()
+        try:
+            for thread in threads:
+                thread.join()
+        except BaseException:
+            # Interrupted while waiting (a signal): drain the workers too, so
+            # none writes into the matrix after the caller restores it.  They
+            # are counted, not joined: an interrupted join can mark a running
+            # thread stopped.
+            with self._cond:
+                self._stop_dispatch = True
+                self._cond.notify_all()
+                while self._live:
+                    self._cond.wait()
+            raise
         if self._failures:
             self._failures.sort(key=lambda pair: pair[0])
             raise self._failures[0][1]
@@ -221,7 +240,9 @@ class DagExecutor:
 
         Re-raises the lowest-program-index task failure after in-flight
         tasks drain, so the recovery loop upstream sees one deterministic
-        exception whichever worker hit it first.
+        exception whichever worker hit it first.  An exception raised in
+        the calling thread while it waits (a signal) also drains them
+        before it propagates.
         """
         if len(self.graph):
             if self.workers == 1:

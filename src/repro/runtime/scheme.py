@@ -7,10 +7,10 @@ seconds.  It is real-numerics only — there is no simulated machine to
 run a shadow factorization on.
 
 The restart protocol mirrors :func:`repro.core.base.run_with_recovery`:
-each attempt factors a fresh copy of the pristine matrix, an
-unrecoverable attempt banks its wall time and disarms the injector
-(one-shot faults), and the caller's array receives the final successful
-factor in place.
+every attempt factors the caller's array in place, a restart first puts
+the pristine copy back, an unrecoverable attempt banks its wall time and
+disarms the injector (one-shot faults), and a call that raises leaves the
+array as it was.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.util.exceptions import (
     SingularBlockError,
     UnrecoverableError,
 )
-from repro.util.validation import check_block_size, check_square, require
+from repro.util.validation import check_block_size, check_in_place, require
 
 
 @dataclass
@@ -63,18 +63,15 @@ class DagPotrfResult:
     timeline: Timeline | None  # of the successful attempt; None under timeline=False
     placement: str
     config: AbftConfig
-    factor_data: np.ndarray
+    #: the lower-triangular factor L: the caller's *a* itself, factored in
+    #: place with zeros above the diagonal
+    factor: np.ndarray
     runtime: dict  # executor summary of the successful attempt
     attempt_makespans: list[float] = field(default_factory=list)
 
     @property
     def gflops(self) -> float:
         return potrf_flops(self.n) / self.makespan / 1e9
-
-    @property
-    def factor(self) -> np.ndarray:
-        """The lower-triangular factor L."""
-        return np.tril(self.factor_data)
 
 
 def _timeline(graph: TaskGraph) -> Timeline:
@@ -114,7 +111,11 @@ def dag_potrf(
     numerics: str = "real",
     timeline: bool = True,
 ) -> DagPotrfResult:
-    """Fault-tolerant Cholesky on the tile-DAG runtime (in place on *a*).
+    """Fault-tolerant Cholesky on the tile-DAG runtime, in place on *a*.
+
+    *a* must be a writeable, C-contiguous float64 array.  On success it
+    holds L with zeros above the diagonal, and the result's ``factor`` is
+    *a*; a call that raises leaves *a* as it was.
 
     ``config.dag_workers`` picks the schedule; the factor, statistics and
     corrected sites are bit-identical for every choice (see
@@ -125,7 +126,7 @@ def dag_potrf(
     require(a is not None, "real mode requires the matrix a")
     cfg = config if config is not None else AbftConfig()
     inj = injector if injector is not None else no_faults()
-    n = check_square("a", a)
+    n = check_in_place("a", a)
     bs = block_size if block_size is not None else machine.default_block_size
     check_block_size(n, bs)
     pristine = a.copy()
@@ -134,46 +135,51 @@ def dag_potrf(
     total = 0.0
     attempt_times: list[float] = []
     restarts = 0
-    for _attempt in range(cfg.max_restarts + 1):
-        work = pristine.copy()
-        matrix = DeviceMatrix("A", n, bs, BlockedMatrix(work, bs))
-        chk = DeviceChecksums.zeros("chk", n, bs, real=True, rows_per_tile=cfg.n_checksums)
-        inj.bind("matrix", matrix)
-        inj.bind("checksum", chk)
-        t_start = time.perf_counter()
-        encode_strips(matrix, chk, codec.weights)
-        inj.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)
-        graph, slots = build_cholesky_graph(matrix, chk, codec, inj)
-        executor = DagExecutor(graph, workers=cfg.dag_workers)
-        try:
-            runtime = executor.run()
-        except (UnrecoverableError, SingularBlockError):
+    try:
+        for attempt in range(cfg.max_restarts + 1):
+            if attempt:
+                np.copyto(a, pristine)
+            matrix = DeviceMatrix("A", n, bs, BlockedMatrix(a, bs))
+            chk = DeviceChecksums.zeros("chk", n, bs, real=True, rows_per_tile=cfg.n_checksums)
+            inj.bind("matrix", matrix)
+            inj.bind("checksum", chk)
+            t_start = time.perf_counter()
+            encode_strips(matrix, chk, codec.weights)
+            inj.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)
+            graph, slots = build_cholesky_graph(matrix, chk, codec, inj)
+            executor = DagExecutor(graph, workers=cfg.dag_workers)
+            try:
+                runtime = executor.run()
+            except (UnrecoverableError, SingularBlockError):
+                wall = time.perf_counter() - t_start
+                total += wall
+                attempt_times.append(wall)
+                restarts += 1
+                # The injected fault was a one-shot event; do not re-inject.
+                inj.disarm()
+                continue
             wall = time.perf_counter() - t_start
             total += wall
             attempt_times.append(wall)
-            restarts += 1
-            # The injected fault was a one-shot event; do not re-inject.
-            inj.disarm()
-            continue
-        wall = time.perf_counter() - t_start
-        total += wall
-        attempt_times.append(wall)
-        a[:] = work
-        return DagPotrfResult(
-            scheme="dag",
-            machine=machine.name,
-            n=n,
-            block_size=bs,
-            makespan=total,
-            restarts=restarts,
-            stats=merge_stats(slots),
-            timeline=_timeline(graph) if timeline else None,
-            placement="host",
-            config=cfg,
-            factor_data=work,
-            runtime=runtime,
-            attempt_makespans=attempt_times,
+            matrix.blocked.zero_upper()
+            return DagPotrfResult(
+                scheme="dag",
+                machine=machine.name,
+                n=n,
+                block_size=bs,
+                makespan=total,
+                restarts=restarts,
+                stats=merge_stats(slots),
+                timeline=_timeline(graph) if timeline else None,
+                placement="host",
+                config=cfg,
+                factor=a,
+                runtime=runtime,
+                attempt_makespans=attempt_times,
+            )
+        raise RestartExhaustedError(
+            f"dag: still unrecoverable after {cfg.max_restarts} restart(s)"
         )
-    raise RestartExhaustedError(
-        f"dag: still unrecoverable after {cfg.max_restarts} restart(s)"
-    )
+    except BaseException:
+        np.copyto(a, pristine)
+        raise

@@ -142,8 +142,8 @@ def execute_attempt(
     :func:`job_matrix` bits); when omitted, the matrix is generated here.
     Either way the input is the same pure function of ``(seed, job_id)``,
     so results are backend-independent.  On return, *a* (when given) holds
-    the factored bytes — that in-place write is the output half of the
-    zero-copy transport.
+    the factor L and is the outcome's ``factor`` — that in-place write is
+    the output half of the zero-copy transport.
 
     *progress* (real mode, resumable schemes only) is handed to the
     driver as its iteration-boundary snapshot sink; non-resumable

@@ -40,6 +40,18 @@ def check_dtype(name: str, a: np.ndarray, dtype: Any = np.float64) -> None:
         raise ValidationError(f"{name} must have dtype {np.dtype(dtype)}, got {a.dtype}")
 
 
+def check_in_place(name: str, a: np.ndarray) -> int:
+    """Require a square float64 *a* that a call can factor in place; return
+    its order.  Tile views need C order, and the call writes into *a*."""
+    n = check_square(name, a)
+    check_dtype(name, a)
+    if not a.flags.c_contiguous:
+        raise ValidationError(f"{name} must be C-contiguous to be factored in place")
+    if not a.flags.writeable:
+        raise ValidationError(f"{name} must be writeable to be factored in place")
+    return n
+
+
 def check_block_size(n: int, block_size: int) -> int:
     """Require *block_size* to evenly divide *n*; return the block count.
 

@@ -1,11 +1,14 @@
 """Unit tests for the dense kernels (numerics vs NumPy/LAPACK references)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blas.dense import gemm_update, gemv, potf2, syrk_update, trsm_right_lt
+from repro.blas.dense import TRSM_BLOCK, gemm_update, gemv, potf2, syrk_update, trsm_right_lt
 from repro.blas.spd import ill_conditioned_spd, random_spd
 from repro.faults.bitflip import flip_bit
 from repro.util.exceptions import SingularBlockError, ValidationError
@@ -346,6 +349,74 @@ class TestTrsmRightLT:
                     trsm_right_lt(got, ell)
                 hidden = ~np.isfinite(expected) & np.isfinite(got)
                 assert not hidden.any(), f"{cell}: {hidden.sum()} entries left finite"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([8, 32, 48, 192]),
+        rows=st.sampled_from([1, 2, 7]),
+        pivot=st.one_of(st.none(), st.sampled_from(sorted(_BAD_PIVOTS))),
+        where=st.integers(0, 191),
+        flip=st.tuples(st.integers(0, 191), st.integers(0, 191), st.integers(0, 63)),
+        seed=st.integers(0, 2**20),
+    )
+    def test_memo_is_bit_equal_to_inverting_afresh(self, n, rows, pivot, where, flip, seed):
+        """Solves sharing one memo: a factor (a bad pivot takes the
+        substitution path), the factor rewritten by one bit flip, the
+        factor again.  Each solve gives the bits of a solve without one."""
+        ell = np.linalg.cholesky(random_spd(n, rng=seed))
+        if pivot is not None:
+            ell[where % n, where % n] = _BAD_PIVOTS[pivot]
+        i, j = sorted((flip[0] % n, flip[1] % n), reverse=True)
+        rewritten = ell.copy()
+        flip_bit(rewritten, (i, j), flip[2])
+        rhs = np.random.default_rng(seed + 1).standard_normal((rows, n))
+        memo: dict = {}
+        for factor in (ell, rewritten, ell):
+            expected, got = rhs.copy(), rhs.copy()
+            with np.errstate(all="ignore"):
+                trsm_right_lt(expected, factor)
+                trsm_right_lt(got, factor, memo)
+            assert got.tobytes() == expected.tobytes()
+        # One entry per diagonal block, plus the rewritten block's if the
+        # flip landed in one; every inverse is shared read-only.
+        blocks = -(-n // TRSM_BLOCK)
+        assert len(memo) == blocks + (i // TRSM_BLOCK == j // TRSM_BLOCK)
+        assert all(inv is None or not inv.flags.writeable for inv in memo.values())
+
+    def test_threads_share_one_memo_without_a_lock(self):
+        """Eight threads, more than the cores, solve against four factors
+        through one memo with a short switch interval, missing together at
+        first: every solve gives the bits of a solve without the memo."""
+        factors = [np.linalg.cholesky(random_spd(96, rng=seed)) for seed in range(4)]
+        rhs = np.random.default_rng(5).standard_normal((2, 96))
+        want = []
+        for ell in factors:
+            x = rhs.copy()
+            trsm_right_lt(x, ell)
+            want.append(x.tobytes())
+        memo: dict = {}
+        wrong = []
+
+        def solve(t: int) -> None:
+            for k in range(40):
+                x = rhs.copy()
+                trsm_right_lt(x, factors[(t + k) % 4], memo)
+                if x.tobytes() != want[(t + k) % 4]:
+                    wrong.append((t, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(memo) == 4 * 96 // TRSM_BLOCK
 
 
 class TestGemv:
