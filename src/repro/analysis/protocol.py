@@ -11,7 +11,10 @@ after the tile's last write, *in the same iteration* as the read.  Enhanced
 is defined by this property; Online verifies after updates, so its reads
 are covered only by a verification from an earlier iteration — the
 *vulnerability window* between that verification and the read; Offline
-leaves every read unverified until the final sweep.  The checker reports
+leaves every read unverified until the final sweep.  The tile-DAG engine
+(``dag``) verifies each diagonal and panel right before it is factored
+and solved, but not the trailing tiles its SYRK and GEMM read, so it is
+held to Offline's expectations.  The checker reports
 each unguarded read with the tile and the (write, read) span pair bounding
 its window.  For Enhanced, an unguarded read is an *error* unless it is a
 legal Optimization-3 deferral: the reading operation is in
@@ -45,7 +48,7 @@ from repro.core.policy import DEFERRABLE_INPUT_KINDS
 from repro.desim.trace import Span
 from repro.util.exceptions import ValidationError
 
-SCHEMES = ("enhanced", "online", "offline")
+SCHEMES = ("enhanced", "online", "offline", "dag")
 
 #: Span kinds whose data-tile reads the verified-read rule covers.  The FT
 #: machinery's own reads (checksum recalculation/updating, transfers) are
@@ -202,10 +205,11 @@ def check_protocol(spans: Iterable[Span], scheme: str) -> list[Finding]:
 
     *spans* is a :class:`~repro.desim.trace.Timeline` or any iterable of
     spans carrying the event-protocol meta keys; *scheme* selects the
-    expectations (``enhanced`` | ``online`` | ``offline``) as described in
-    the module docstring.  Returns findings; ``error`` severity means the
-    schedule violates its own scheme's contract, ``info`` documents the
-    scheme's expected exposure (vulnerability windows, Opt-3 deferrals).
+    expectations (``enhanced`` | ``online`` | ``offline`` | ``dag``) as
+    described in the module docstring.  Returns findings; ``error``
+    severity means the schedule violates its own scheme's contract,
+    ``info`` documents the scheme's expected exposure (vulnerability
+    windows, Opt-3 deferrals).
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

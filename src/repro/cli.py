@@ -265,7 +265,6 @@ def _service_from_args(args: argparse.Namespace):
         exec_workers=args.exec_workers,
         batch_max=args.batch_max,
         batch_linger_s=args.batch_linger,
-        intra_workers=args.intra_workers,
     )
     return SolveService(config)
 
@@ -303,21 +302,16 @@ def _jobs_from_stdin(args: argparse.Namespace) -> list:
         injector = None
         if raw.get("inject"):
             injector = _parse_injection(str(raw["inject"]))
-        scheme = str(raw.get("scheme", args.scheme))
-        # the --intra-workers default only applies to dag jobs; other
-        # schemes are single-threaded and reject intra_workers > 1
-        intra_default = args.intra_workers if scheme == "dag" else 1
         jobs.append(
             Job(
                 job_id=int(raw.get("id", len(jobs))),
                 n=int(raw.get("n", 96)),
-                scheme=scheme,
+                scheme=str(raw.get("scheme", args.scheme)),
                 priority=raw.get("priority", "batch"),
                 block_size=int(raw["block_size"]) if raw.get("block_size") else args.block_size,
                 numerics=str(raw.get("numerics", "real")),
                 seed=int(raw.get("seed", args.seed)),
                 injector=injector,
-                intra_workers=int(raw.get("intra_workers", intra_default)),
             )
         )
     return jobs
@@ -338,7 +332,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             scheme=args.scheme,
             fault_prob=args.fault_prob,
             seed=args.seed,
-            intra_workers=args.intra_workers,
         )
         jobs = make_jobs(cfg)
     else:
@@ -384,7 +377,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
         rate=args.rate,
         concurrency=args.closed,
-        intra_workers=args.intra_workers,
     )
     report, results = asyncio.run(run_load(service, cfg))
     if args.json:
@@ -728,11 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--batch-linger", type=float, default=0.0, metavar="SECONDS",
             help="how long an under-filled batch may wait for more queued "
             "jobs before dispatching (the latency budget for coalescing)",
-        )
-        p.add_argument(
-            "--intra-workers", type=int, default=1, metavar="W",
-            help="per-job thread width for the 'dag' scheme's tile runtime "
-            "(each job charges W backend slots; other schemes require 1)",
         )
 
     p = sub.add_parser("serve", help="run the async solve service over a job stream")

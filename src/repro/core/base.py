@@ -14,6 +14,10 @@ forward-recovery resume does.
 ``timeline=False`` runs the same attempts without the simulated machine:
 the contexts record nothing, nothing is replayed, and the result's
 ``timeline`` and ``makespan`` are ``None``.
+
+The loop is the same for the tile-DAG engine: its attempts
+(:class:`repro.runtime.scheme.DagRun`) run on the host, replay no
+simulated machine, and bank only the executed graph's spans.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from repro.core.correct import Verifier, VerifyStats
 from repro.core.multierror import MultiErrorCodec
 from repro.core.policy import VerificationPolicy
 from repro.core.update import ChecksumUpdater
-from repro.desim.engine import SimulationResult
 from repro.desim.task import Task
 from repro.desim.trace import Timeline
 from repro.faults.injector import FaultInjector, Hook, no_faults
@@ -50,8 +53,12 @@ def deps_of(*tasks: Task | None) -> list[Task] | None:
 
 
 def simulated(makespan: float | None, what: str) -> float:
-    """*makespan*, or an error naming the switch when the run kept no timeline."""
-    require(makespan is not None, f"{what} needs the simulated makespan; this run was made with timeline=False")
+    """*makespan*, or an error naming why the run has no simulated time."""
+    require(
+        makespan is not None,
+        f"{what} needs the simulated makespan; this run was made with timeline=False "
+        "or by the dag engine, which has no simulated machine",
+    )
     return makespan
 
 
@@ -72,6 +79,9 @@ class FtPotrfResult:
     config: AbftConfig
     attempt_makespans: list[float] = field(default_factory=list)
     failed_timelines: list[Timeline] = field(default_factory=list)
+    #: the dag engine's executor summary of the successful attempt
+    #: (plain data), ``None`` for the left-looking engine
+    runtime: dict | None = None
 
     @property
     def gflops(self) -> float:
@@ -119,6 +129,9 @@ class FtPotrfResult:
 
 class SchemeRun:
     """All per-attempt state a scheme driver needs."""
+
+    #: the dag engine's executor summary; the left-looking loop has none
+    runtime: dict | None = None
 
     def __init__(
         self,
@@ -223,6 +236,12 @@ class SchemeRun:
     def nb(self) -> int:
         return self.matrix.nb
 
+    def replay(self) -> tuple[float | None, Timeline | None]:
+        """``(simulated seconds, timeline)`` of this attempt, both ``None``
+        when it kept no simulated machine."""
+        sim = self.ctx.simulate()
+        return (None, None) if sim is None else (sim.makespan, sim.timeline)
+
 
 def run_with_recovery(
     scheme: str,
@@ -237,6 +256,7 @@ def run_with_recovery(
     start_iteration: int = 0,
     progress=None,
     timeline: bool = True,
+    attempt=SchemeRun,
 ) -> FtPotrfResult:
     """Execute *loop_body(run)* with the restart-on-unrecoverable protocol.
 
@@ -254,7 +274,8 @@ def run_with_recovery(
     newest snapshot (a rollback).  *progress* (real mode) receives
     ``(iteration, matrix_data, chk_array)`` after each iteration.
     *timeline* records and replays the simulated machine (see the module
-    docstring).
+    docstring).  *attempt* builds each attempt's state from this call's
+    arguments (a :class:`SchemeRun` unless the engine brings its own).
     """
     cfg = config if config is not None else AbftConfig()
     inj = injector if injector is not None else no_faults()
@@ -271,13 +292,13 @@ def run_with_recovery(
     # The one copy a real call keeps: what a restart, and a raise, put back.
     pristine = a.copy() if real else None
     restart_from = pristine
-    replays: list[SimulationResult | None] = []  # one per attempt
+    replays: list[tuple[float | None, Timeline | None]] = []  # one per attempt
     restarts = 0
     try:
-        for attempt in range(cfg.max_restarts + 1):
-            if real and attempt:
+        for _ in range(cfg.max_restarts + 1):
+            if real and restarts:
                 np.copyto(a, restart_from)
-            run = SchemeRun(
+            run = attempt(
                 scheme,
                 machine,
                 n,
@@ -293,16 +314,16 @@ def run_with_recovery(
             try:
                 loop_body(run)
             except (UnrecoverableError, SingularBlockError):
-                replays.append(run.ctx.simulate())
+                replays.append(run.replay())
                 restarts += 1
                 # The injected fault was a one-shot event; do not re-inject.
                 inj.disarm()
                 if run.restart_point is not None:
                     start_iteration, restart_from = run.restart_point
                 continue
-            sim = run.ctx.simulate()
-            replays.append(sim)
-            makespans = [r.makespan for r in replays if r is not None]
+            seconds, spans = run.replay()
+            replays.append((seconds, spans))
+            makespans = [m for m, _ in replays if m is not None]
             if real:
                 run.matrix.blocked.zero_upper()
             return FtPotrfResult(
@@ -310,15 +331,16 @@ def run_with_recovery(
                 machine=machine.name,
                 n=n,
                 block_size=bs,
-                makespan=None if sim is None else sum(makespans),
+                makespan=None if seconds is None else sum(makespans),
                 restarts=restarts,
                 stats=run.stats,
-                timeline=None if sim is None else sim.timeline,
+                timeline=spans,
                 matrix=run.matrix,
                 placement=run.placement,
                 config=cfg,
                 attempt_makespans=makespans,
-                failed_timelines=[r.timeline for r in replays[:-1] if r is not None],
+                failed_timelines=[t for _, t in replays[:-1] if t is not None],
+                runtime=run.runtime,
             )
         raise RestartExhaustedError(
             f"{scheme}: still unrecoverable after {cfg.max_restarts} restart(s)"

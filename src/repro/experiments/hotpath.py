@@ -42,7 +42,7 @@ from repro.faults.injector import Hook, single_storage_fault
 from repro.hetero.machine import Machine
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.runtime.executor import LOOKAHEAD
-from repro.runtime.scheme import DagPotrfResult, dag_potrf
+from repro.runtime.scheme import dag_potrf
 from repro.util.validation import require
 
 #: Schema 2 added the ``stamp`` provenance block (git rev, hostname, CPU
@@ -154,7 +154,7 @@ def _sweep(
 
 def _dag_factor(
     machine: Machine, a: np.ndarray, workers: int, seed: int
-) -> tuple[DagPotrfResult, float]:
+) -> tuple[FtPotrfResult, float]:
     """One tile-DAG factorization with the standard fault, timed."""
     injector = single_storage_fault(block=_FAULT_BLOCK, iteration=_FAULT_ITERATION)
     work = a.copy()
@@ -192,7 +192,7 @@ def dag_grid(
         )
         a = random_spd(n, rng=seed)
         best: dict[str, float] = {}
-        res: dict[str, DagPotrfResult] = {}
+        res: dict[str, FtPotrfResult] = {}
         for mode, w in (("serial", 1), ("dag", workers)):
             wall = float("inf")
             for _ in range(repeats):

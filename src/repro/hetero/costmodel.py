@@ -168,9 +168,8 @@ class CostModel:
         "offline": 1.10,
         "online": 1.20,
         "enhanced": 1.12,
-        # the tile-DAG runtime fuses checksum updates like Enhanced; its
-        # speedup comes from worker threads, which the scheduler accounts
-        # for separately via per-job intra_workers capacity charging
+        # the tile-DAG runtime fuses checksum updates like Enhanced (the
+        # service runs its serial schedule: one job, one core)
         "dag": 1.12,
     }
 

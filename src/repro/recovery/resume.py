@@ -3,9 +3,9 @@
 This is the blocking body of the service's "erasure-recover" ladder
 rung.  It runs parent-side (the crashed worker's replacement is still
 starting in the background; a resume is cheap enough not to justify
-another round-trip), and produces a normal
-:class:`~repro.service.policy.AttemptOutcome` so the residual gate,
-metrics and journaling downstream are untouched.
+another round-trip), through the same attempt body as every other rung,
+so its :class:`~repro.service.policy.AttemptOutcome` meets the same
+residual gate, metrics and journaling downstream.
 
 When the salvage carried no erasures (a clean snapshot from a crashed
 worker) the resumed factor is **bit-identical** to an uninterrupted run:
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from repro.core import AbftConfig
 from repro.hetero.machine import Machine
-from repro.magma.host import factorization_residual
 from repro.recovery.salvage import Salvage, repair_salvage
 from repro.service.job import Job
-from repro.service.policy import _SCHEMES, RESUMABLE_SCHEMES, AttemptOutcome, job_matrix
+from repro.service.policy import _SCHEMES, RESUMABLE_SCHEMES, AttemptOutcome, _execute, job_matrix
 from repro.util.exceptions import SalvageError
 from repro.util.validation import require
 
@@ -47,37 +46,26 @@ def execute_resume(job: Job, machine: Machine, salvage: Salvage, timeline: bool 
     stats = repair_salvage(salvage, pristine)
     if job.injector is not None:
         job.injector.disarm()  # whatever fired is already in the salvage
-    work = salvage.matrix  # repaired in place by repair_salvage
-    config = AbftConfig(verify_interval=job.verify_interval, dag_workers=job.intra_workers)
-    potrf = _SCHEMES[job.scheme]
-    res = potrf(
+    # salvage.matrix was repaired in place; the residual is taken against
+    # the job's original input.
+    outcome = _execute(
+        job,
         machine,
-        a=work,
-        block_size=job.block_size,
-        config=config,
-        injector=job.injector,
+        _SCHEMES[job.scheme],
+        salvage.matrix,
+        None,
+        timeline,
+        pristine=pristine,
+        config=AbftConfig(verify_interval=job.verify_interval),
         start_iteration=salvage.resume_iteration,
-        timeline=timeline,
     )
-    factor = res.factor
-    residual = factorization_residual(pristine, factor)
-    corrected = res.stats.data_corrections + res.stats.checksum_corrections
-    repaired = stats.corrected_errors + stats.refreshed_checksums
-    return AttemptOutcome(
-        sim_makespan=res.makespan,
-        corrected_errors=corrected + repaired,
-        restarts=res.restarts,
-        residual=residual,
-        timeline=res.timeline,
-        corrected_sites=list(res.stats.corrected_sites) + list(stats.corrected_sites),
-        stats=res.stats,
-        factor=factor,
-        extras={
-            "resumed_from_iteration": salvage.resume_iteration,
-            "total_iterations": salvage.nb,
-            "erasure_tiles": stats.erased_tiles,
-            "erasure_elements": stats.erased_elements,
-            "reencoded_tiles": stats.reencoded_tiles,
-        },
-        runtime=getattr(res, "runtime", None),
-    )
+    outcome.corrected_errors += stats.corrected_errors + stats.refreshed_checksums
+    outcome.corrected_sites += stats.corrected_sites
+    outcome.extras = {
+        "resumed_from_iteration": salvage.resume_iteration,
+        "total_iterations": salvage.nb,
+        "erasure_tiles": stats.erased_tiles,
+        "erasure_elements": stats.erased_elements,
+        "reencoded_tiles": stats.reencoded_tiles,
+    }
+    return outcome

@@ -11,13 +11,12 @@ service as scheme ``"dag"``.
 from repro.runtime.cholesky import build_cholesky_graph, merge_stats, plan_anchor
 from repro.runtime.dag import TaskGraph
 from repro.runtime.executor import DagExecutor, inject_task_delays
-from repro.runtime.scheme import DagPotrfResult, dag_potrf
+from repro.runtime.scheme import dag_potrf
 from repro.runtime.task import Cell, TileTask, TASK_KINDS
 
 __all__ = [
     "Cell",
     "DagExecutor",
-    "DagPotrfResult",
     "TASK_KINDS",
     "TaskGraph",
     "TileTask",

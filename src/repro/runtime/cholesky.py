@@ -25,8 +25,8 @@ paper's Opt-3 panel/update overlap on real host threads.
 Fault injection stays deterministic under any schedule: every
 :class:`~repro.faults.injector.FaultPlan` is anchored to one task
 identity (kind, iteration, tile) at graph-build time and fired from
-inside that task's body, with the victim cell added to the task's
-declared writes so the corruption is ordered by the DAG like any other
+inside that task's body, with the victim cell declared among the task's
+``victims`` so the corruption is ordered by the DAG like any other
 mutation.
 """
 
@@ -121,9 +121,9 @@ def plan_anchor(plan: FaultPlan, nb: int) -> Anchor | None:
     return ("gemm", j, plan.block if victim_hit else (nb - 1, nb - 2))
 
 
-def _victim_cell(plan: FaultPlan) -> Cell:
-    space = "A" if plan.target == "matrix" else "C"
-    return (space, *plan.block)
+def _victims(plans: list[FaultPlan]) -> frozenset[Cell]:
+    """The cells *plans* strike."""
+    return frozenset(("A" if p.target == "matrix" else "C", *p.block) for p in plans)
 
 
 def anchored_plans(injector: FaultInjector, nb: int) -> dict[Anchor, list[FaultPlan]]:
@@ -308,8 +308,9 @@ def build_cholesky_graph(
             j,
             (j, j),
             reads=_rw(diag),
-            writes=_rw(diag) | {_victim_cell(p) for p in fires},
+            writes=_rw(diag),
             fn=_potf2_body(matrix, chk, j, injector, fires),
+            victims=_victims(fires),
         )
         # 3. verify the freshly factored diagonal before the panel uses it.
         _add_verify(j, (j, j), diag)
@@ -324,8 +325,9 @@ def build_cholesky_graph(
                     j,
                     (i, j),
                     reads=_rw([(j, j), (i, j)]),
-                    writes=_rw([(i, j)]) | {_victim_cell(p) for p in fires},
+                    writes=_rw([(i, j)]),
                     fn=_trsm_body(matrix, chk, i, j, injector, fires),
+                    victims=_victims(fires),
                 )
             # 6. verify the panel of L before the trailing update reads it.
             _add_verify(j, (j + 1, j), panel)
@@ -337,8 +339,9 @@ def build_cholesky_graph(
                 j,
                 (k, k),
                 reads=_rw([(k, j), (k, k)]),
-                writes=_rw([(k, k)]) | {_victim_cell(p) for p in fires},
+                writes=_rw([(k, k)]),
                 fn=_syrk_body(matrix, chk, k, j, injector, fires),
+                victims=_victims(fires),
             )
             for i in range(k + 1, nb):
                 fires = _fires_for("gemm", j, (i, k))
@@ -347,20 +350,21 @@ def build_cholesky_graph(
                     j,
                     (i, k),
                     reads=_rw([(i, j), (k, j), (i, k)]),
-                    writes=_rw([(i, k)]) | {_victim_cell(p) for p in fires},
+                    writes=_rw([(i, k)]),
                     fn=_gemm_body(matrix, chk, i, k, j, injector, fires),
+                    victims=_victims(fires),
                 )
         # 8. the storage-error window at the end of the iteration.
         fires = _fires_for("storage_window", j, (j, j))
         if fires:
-            victims = frozenset(_victim_cell(p) for p in fires)
             graph.add(
                 "storage_window",
                 j,
                 (j, j),
-                reads=victims,
-                writes=victims,
+                reads=(),
+                writes=(),
                 fn=_window_body(j, injector, fires),
+                victims=_victims(fires),
             )
     _add_verify(nb, (nb - 1, nb - 1), _lower(nb))
     graph.check_program_order()

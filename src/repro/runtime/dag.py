@@ -43,8 +43,13 @@ class TaskGraph:
         reads: Iterable[Cell],
         writes: Iterable[Cell],
         fn: Callable[[], None],
+        victims: Iterable[Cell] = (),
     ) -> TileTask:
-        """Append one task; dependencies are derived from *reads*/*writes*."""
+        """Append one task; dependencies are derived from *reads*/*writes*.
+
+        *victims* (the cells the task's fault plans strike) are ordered
+        exactly as writes.
+        """
         task = TileTask(
             kind=kind,
             iteration=iteration,
@@ -52,14 +57,16 @@ class TaskGraph:
             fn=fn,
             reads=frozenset(reads),
             writes=frozenset(writes),
+            victims=frozenset(victims),
             index=len(self.tasks),
         )
+        mutated = task.writes | task.victims
         deps: set[int] = set()
         for cell in task.reads:
             writer = self._last_writer.get(cell)
             if writer is not None:
                 deps.add(writer)
-        for cell in task.writes:
+        for cell in mutated:
             writer = self._last_writer.get(cell)
             if writer is not None:
                 deps.add(writer)
@@ -67,7 +74,7 @@ class TaskGraph:
         deps.discard(task.index)
         for cell in task.reads:
             self._readers_since.setdefault(cell, set()).add(task.index)
-        for cell in task.writes:
+        for cell in mutated:
             self._last_writer[cell] = task.index
             self._readers_since[cell] = set()
         self.tasks.append(task)

@@ -1,27 +1,22 @@
 """The ``dag`` scheme: the ABFT'd factorization on the tile-task runtime.
 
-:func:`dag_potrf` is the runtime's counterpart of the desim drivers'
-entry points (same call shape, duck-compatible result), but it executes
-on the *host* clock: real BLAS kernels on real threads, makespan = wall
-seconds.  It is real-numerics only — there is no simulated machine to
-run a shadow factorization on.
-
-The restart protocol mirrors :func:`repro.core.base.run_with_recovery`:
-every attempt factors the caller's array in place, a restart first puts
-the pristine copy back, an unrecoverable attempt banks its wall time and
-disarms the injector (one-shot faults), and a call that raises leaves the
-array as it was.
+:func:`dag_potrf` runs the right-looking tile graph of
+:mod:`repro.runtime.cholesky` through the restart loop every scheme
+shares (:func:`repro.core.base.run_with_recovery`), with :class:`DagRun`
+as its attempt, and returns the same
+:class:`~repro.core.base.FtPotrfResult`.  It executes on the *host*:
+real BLAS kernels on real threads, with no simulated machine.  So the
+result's ``makespan`` is ``None`` (time the call for host seconds), its
+``runtime`` is the executor summary, and its ``timeline`` holds the
+executed tasks' wall-clock spans.  It is real-numerics only.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.blas.blocked import BlockedMatrix
-from repro.blas.flops import potrf_flops
+from repro.core.base import FtPotrfResult, run_with_recovery
 from repro.core.config import AbftConfig
 from repro.core.correct import VerifyStats
 from repro.core.multierror import MultiErrorCodec
@@ -30,62 +25,45 @@ from repro.desim.trace import (
     META_CHK_WRITES,
     META_ITERATION,
     META_TILE_READS,
+    META_TILE_VERIFIES,
     META_TILE_WRITES,
     Span,
     Timeline,
 )
-from repro.faults.injector import FaultInjector, Hook, no_faults
+from repro.faults.injector import FaultInjector, Hook
 from repro.hetero.machine import Machine
 from repro.hetero.memory import DeviceChecksums, DeviceMatrix
 from repro.runtime.cholesky import build_cholesky_graph, encode_strips, merge_stats
 from repro.runtime.dag import TaskGraph
 from repro.runtime.executor import DagExecutor
-from repro.util.exceptions import (
-    RestartExhaustedError,
-    SingularBlockError,
-    UnrecoverableError,
-)
-from repro.util.validation import check_block_size, check_in_place, require
+from repro.runtime.task import Cell
+from repro.util.validation import require
 
 
-@dataclass
-class DagPotrfResult:
-    """Outcome of a runtime factorization — duck-compatible with
-    :class:`repro.core.base.FtPotrfResult` where the service needs it."""
-
-    scheme: str
-    machine: str
-    n: int
-    block_size: int
-    makespan: float  # total host wall seconds across all attempts
-    restarts: int
-    stats: VerifyStats  # of the successful attempt
-    timeline: Timeline | None  # of the successful attempt; None under timeline=False
-    placement: str
-    config: AbftConfig
-    #: the lower-triangular factor L: the caller's *a* itself, factored in
-    #: place with zeros above the diagonal
-    factor: np.ndarray
-    runtime: dict  # executor summary of the successful attempt
-    attempt_makespans: list[float] = field(default_factory=list)
-
-    @property
-    def gflops(self) -> float:
-        return potrf_flops(self.n) / self.makespan / 1e9
+def _tiles(cells: frozenset[Cell], space: str) -> list[tuple[int, int]]:
+    return sorted((i, j) for (s, i, j) in cells if s == space)
 
 
 def _timeline(graph: TaskGraph) -> Timeline:
-    """Real spans from the executed graph (host wall clock, tid = index)."""
+    """Real spans from the executed graph (host wall clock, tid = index).
+
+    A verify lists its tiles under ``tile_verifies``, as the simulated
+    schemes' verification barriers do, and a fault's victims are no access
+    of the protocol: the spans re-verify under ``analyze-trace``.
+    """
     preds = graph.dependencies()
     spans: list[Span] = []
     for task in graph.tasks:
         meta = {
             META_ITERATION: task.iteration,
-            META_TILE_READS: sorted((i, j) for (s, i, j) in task.reads if s == "A"),
-            META_TILE_WRITES: sorted((i, j) for (s, i, j) in task.writes if s == "A"),
-            META_CHK_READS: sorted((i, j) for (s, i, j) in task.reads if s == "C"),
-            META_CHK_WRITES: sorted((i, j) for (s, i, j) in task.writes if s == "C"),
+            META_TILE_READS: _tiles(task.reads, "A"),
+            META_CHK_READS: _tiles(task.reads, "C"),
         }
+        if task.kind == "verify":
+            meta[META_TILE_VERIFIES] = _tiles(task.reads, "A")
+        else:
+            meta[META_TILE_WRITES] = _tiles(task.writes, "A")
+            meta[META_CHK_WRITES] = _tiles(task.writes, "C")
         spans.append(
             Span(
                 tid=task.index,
@@ -101,6 +79,59 @@ def _timeline(graph: TaskGraph) -> Timeline:
     return Timeline(spans)
 
 
+class DagRun:
+    """One dag attempt: tile buffers, codec, stats and, once it ran to the
+    end, the executor summary and (when asked for) the executed spans."""
+
+    placement = "host"
+    #: the dag takes no snapshots: a restart begins from the input
+    restart_point = None
+
+    def __init__(
+        self,
+        scheme: str,
+        machine: Machine,
+        n: int,
+        block_size: int,
+        config: AbftConfig,
+        injector: FaultInjector,
+        numerics: str,
+        a: np.ndarray,
+        start_iteration: int = 0,
+        progress=None,
+        timeline: bool = True,
+    ) -> None:
+        self.config = config
+        self.injector = injector
+        self.start_iteration = start_iteration
+        self.timeline = timeline
+        self.matrix = DeviceMatrix("A", n, block_size, BlockedMatrix(a, block_size))
+        self.chk = DeviceChecksums.zeros("chk", n, block_size, real=True, rows_per_tile=config.n_checksums)
+        injector.bind("matrix", self.matrix)
+        injector.bind("checksum", self.chk)
+        self.codec = MultiErrorCodec(block_size, config.n_checksums, rtol=config.rtol)
+        self.stats = VerifyStats()
+        self.runtime: dict | None = None
+        self.spans: Timeline | None = None
+
+    def replay(self) -> tuple[None, Timeline | None]:
+        """No simulated seconds, and the spans a finished attempt kept (a
+        failed attempt banks none)."""
+        return None, self.spans
+
+
+def _factor_dag(run: DagRun) -> None:
+    """Encode, build the attempt's tile graph and execute it."""
+    require(run.start_iteration == 0, "the dag scheme does not resume mid-run")
+    encode_strips(run.matrix, run.chk, run.codec.weights)
+    run.injector.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)
+    graph, slots = build_cholesky_graph(run.matrix, run.chk, run.codec, run.injector)
+    run.runtime = DagExecutor(graph, workers=run.config.dag_workers).run()
+    run.stats = merge_stats(slots)
+    if run.timeline:
+        run.spans = _timeline(graph)
+
+
 def dag_potrf(
     machine: Machine,
     a: np.ndarray | None = None,
@@ -110,7 +141,7 @@ def dag_potrf(
     injector: FaultInjector | None = None,
     numerics: str = "real",
     timeline: bool = True,
-) -> DagPotrfResult:
+) -> FtPotrfResult:
     """Fault-tolerant Cholesky on the tile-DAG runtime, in place on *a*.
 
     *a* must be a writeable, C-contiguous float64 array.  On success it
@@ -120,66 +151,10 @@ def dag_potrf(
     ``config.dag_workers`` picks the schedule; the factor, statistics and
     corrected sites are bit-identical for every choice (see
     :mod:`repro.runtime.dag` for why).  ``timeline=False`` skips building
-    the executed graph's spans; ``makespan`` stays the wall seconds.
+    the executed graph's spans.
     """
     require(numerics == "real", "the dag scheme runs real numerics only")
-    require(a is not None, "real mode requires the matrix a")
-    cfg = config if config is not None else AbftConfig()
-    inj = injector if injector is not None else no_faults()
-    n = check_in_place("a", a)
-    bs = block_size if block_size is not None else machine.default_block_size
-    check_block_size(n, bs)
-    pristine = a.copy()
-    codec = MultiErrorCodec(bs, cfg.n_checksums, rtol=cfg.rtol)
-
-    total = 0.0
-    attempt_times: list[float] = []
-    restarts = 0
-    try:
-        for attempt in range(cfg.max_restarts + 1):
-            if attempt:
-                np.copyto(a, pristine)
-            matrix = DeviceMatrix("A", n, bs, BlockedMatrix(a, bs))
-            chk = DeviceChecksums.zeros("chk", n, bs, real=True, rows_per_tile=cfg.n_checksums)
-            inj.bind("matrix", matrix)
-            inj.bind("checksum", chk)
-            t_start = time.perf_counter()
-            encode_strips(matrix, chk, codec.weights)
-            inj.fire(Hook.BEFORE_FACTORIZATION, iteration=-1)
-            graph, slots = build_cholesky_graph(matrix, chk, codec, inj)
-            executor = DagExecutor(graph, workers=cfg.dag_workers)
-            try:
-                runtime = executor.run()
-            except (UnrecoverableError, SingularBlockError):
-                wall = time.perf_counter() - t_start
-                total += wall
-                attempt_times.append(wall)
-                restarts += 1
-                # The injected fault was a one-shot event; do not re-inject.
-                inj.disarm()
-                continue
-            wall = time.perf_counter() - t_start
-            total += wall
-            attempt_times.append(wall)
-            matrix.blocked.zero_upper()
-            return DagPotrfResult(
-                scheme="dag",
-                machine=machine.name,
-                n=n,
-                block_size=bs,
-                makespan=total,
-                restarts=restarts,
-                stats=merge_stats(slots),
-                timeline=_timeline(graph) if timeline else None,
-                placement="host",
-                config=cfg,
-                factor=a,
-                runtime=runtime,
-                attempt_makespans=attempt_times,
-            )
-        raise RestartExhaustedError(
-            f"dag: still unrecoverable after {cfg.max_restarts} restart(s)"
-        )
-    except BaseException:
-        np.copyto(a, pristine)
-        raise
+    return run_with_recovery(
+        "dag", _factor_dag, machine, a, n, block_size, config, injector, numerics,
+        timeline=timeline, attempt=DagRun,
+    )

@@ -41,6 +41,9 @@ class TileTask:
     fn: Callable[[], None]
     reads: frozenset[Cell]
     writes: frozenset[Cell]
+    #: cells the task's anchored fault plans strike: ordered like writes,
+    #: but not accesses of the protocol, so no trace reports them
+    victims: frozenset[Cell] = frozenset()
     index: int = -1
     #: host wall seconds, stamped by the executor
     start_s: float = field(default=0.0, compare=False)

@@ -86,13 +86,8 @@ class ServiceConfig:
     #: keep each completed job's factor on its :class:`JobResult` — the
     #: chaos harness compares factors bit-for-bit across scenarios
     keep_factors: bool = False
-    #: per-job thread width the ``dag`` scheme's tile runtime is expected
-    #: to use; the capacity semaphore charges each dispatch slot this many
-    #: backend slots so intra-job threads are not double-booked
-    intra_workers: int = 1
 
     def __post_init__(self) -> None:
-        check_positive("intra_workers", self.intra_workers)
         require(bool(self.workers), "need at least one worker spec")
         check_positive("max_queue_depth", self.max_queue_depth)
         check_positive("job_timeout_s", self.job_timeout_s)
@@ -169,9 +164,7 @@ class SolveService:
         #: engages) once every worker is saturated — capped by the execution
         #: backend's real host-side parallelism
         self._capacity = asyncio.Semaphore(
-            self.scheduler.effective_concurrency(
-                self.executor.capacity, config.intra_workers
-            )
+            self.scheduler.effective_concurrency(self.executor.capacity)
         )
         self._coalescer = BatchCoalescer(config.batch_max, config.batch_linger_s)
         self.results: dict[int, JobResult] = {}

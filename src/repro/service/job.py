@@ -62,10 +62,6 @@ class Job:
     seed: int = 0
     injector: FaultInjector | None = None
     timeout_s: float | None = None
-    #: threads the ``dag`` scheme's tile runtime may use for this job
-    #: (the scheduler charges the job that many cores); other schemes
-    #: run single-threaded and must leave it at 1
-    intra_workers: int = 1
     submit_time: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
@@ -73,16 +69,10 @@ class Job:
         require(self.scheme in SCHEMES, f"unknown scheme {self.scheme!r}; have {SCHEMES}")
         require(self.numerics in ("real", "shadow"), f"bad numerics {self.numerics!r}")
         check_positive("verify_interval", self.verify_interval)
-        check_positive("intra_workers", self.intra_workers)
         if self.scheme == "dag":
             require(
                 self.numerics == "real",
                 "the dag scheme runs real numerics only",
-            )
-        else:
-            require(
-                self.intra_workers == 1,
-                f"scheme {self.scheme!r} is single-threaded; intra_workers must be 1",
             )
         self.priority = Priority.parse(self.priority)
 
@@ -119,7 +109,6 @@ class Job:
             "verify_interval": int(self.verify_interval),
             "seed": int(self.seed),
             "timeout_s": None if self.timeout_s is None else float(self.timeout_s),
-            "intra_workers": int(self.intra_workers),
         }
 
     @classmethod
@@ -135,7 +124,6 @@ class Job:
             verify_interval=int(spec.get("verify_interval", 1)),
             seed=int(spec.get("seed", 0)),
             timeout_s=spec.get("timeout_s"),
-            intra_workers=int(spec.get("intra_workers", 1)),
         )
 
 

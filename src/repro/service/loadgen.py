@@ -57,8 +57,6 @@ class LoadGenConfig:
     rate: float | None = None
     #: closed loop: outstanding jobs (used when rate is None)
     concurrency: int = 4
-    #: per-job runtime threads for ``scheme="dag"`` jobs (others ignore it)
-    intra_workers: int = 1
 
     def __post_init__(self) -> None:
         check_positive("jobs", self.jobs)
@@ -68,7 +66,6 @@ class LoadGenConfig:
         if self.rate is not None:
             check_positive("rate", self.rate)
         check_positive("concurrency", self.concurrency)
-        check_positive("intra_workers", self.intra_workers)
 
 
 def make_job(cfg: LoadGenConfig, index: int) -> Job:
@@ -97,7 +94,6 @@ def make_job(cfg: LoadGenConfig, index: int) -> Job:
         numerics=cfg.numerics,
         seed=cfg.seed,
         injector=injector,
-        intra_workers=cfg.intra_workers if cfg.scheme == "dag" else 1,
     )
 
 

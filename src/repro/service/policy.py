@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.baselines.checkpoint import checkpoint_potrf
 from repro.blas.spd import random_spd
-from repro.core import SCHEMES, AbftConfig, FtPotrfResult
+from repro.core import SCHEMES, AbftConfig
 from repro.core.correct import VerifyStats
 from repro.desim.trace import Timeline
 from repro.hetero.machine import Machine
@@ -89,10 +89,11 @@ class AttemptOutcome:
     the bytes travel through the shared-memory segment instead — and the
     parent reattaches it, so callers never see the difference.
 
-    ``sim_makespan`` and ``timeline`` exist only for attempts that kept
-    the simulated machine (shadow jobs, or real ones asked for a
-    timeline); ``sim_makespan`` is always ``None`` for ``dag``, whose
-    makespan is host wall seconds.
+    ``sim_makespan`` exists only for attempts that kept the simulated
+    machine (shadow jobs, or real ones asked for a timeline), and
+    ``timeline`` only for attempts asked for one; ``dag`` has no simulated
+    machine, so its ``sim_makespan`` is always ``None`` and its timeline
+    holds the executed tasks' host spans.
     """
 
     sim_makespan: float | None
@@ -106,7 +107,7 @@ class AttemptOutcome:
     stats: VerifyStats | None = None
     factor: np.ndarray | None = field(default=None, repr=False)
     #: the dag runtime's executor summary (plain data; pickles across the
-    #: process backend), ``None`` for the simulated schemes
+    #: process backend), ``None`` for the left-looking schemes
     runtime: dict | None = None
 
 
@@ -156,9 +157,7 @@ def execute_attempt(
     Raises the scheme's own exceptions (``RestartExhaustedError`` etc.) on
     unrecoverable outcomes; the async layer turns those into retries.
     """
-    kwargs: dict = {
-        "config": AbftConfig(verify_interval=job.verify_interval, dag_workers=job.intra_workers)
-    }
+    kwargs: dict = {"config": AbftConfig(verify_interval=job.verify_interval)}
     if progress is not None and job.scheme in RESUMABLE_SCHEMES and job.numerics == "real":
         kwargs["progress"] = progress
     return _execute(job, machine, _SCHEMES[job.scheme], a, scratch, timeline, **kwargs)
@@ -185,13 +184,17 @@ def execute_fallback(
     return outcome
 
 
-def _execute(job: Job, machine: Machine, potrf, a, scratch, timeline: bool, **kwargs) -> AttemptOutcome:
+def _execute(
+    job: Job, machine: Machine, potrf, a, scratch, timeline: bool, pristine=None, **kwargs
+) -> AttemptOutcome:
     """Run *potrf* on *job*: a real job in place on its input, then the
-    residual gate against a pristine copy; a shadow job by its order."""
+    residual gate against *pristine* (default: a copy of the input); a
+    shadow job by its order."""
     if job.numerics == "real":
         if a is None:
             a = job_matrix(job)
-        pristine = _pristine_copy(a, scratch)
+        if pristine is None:
+            pristine = _pristine_copy(a, scratch)
         res = potrf(
             machine, a=a, block_size=job.block_size, injector=job.injector, timeline=timeline, **kwargs
         )
@@ -204,8 +207,7 @@ def _execute(job: Job, machine: Machine, potrf, a, scratch, timeline: bool, **kw
         residual = None
         factor = None
     return AttemptOutcome(
-        # dag's makespan is host wall seconds: the job's exec_s says that already.
-        sim_makespan=res.makespan if isinstance(res, FtPotrfResult) else None,
+        sim_makespan=res.makespan,
         corrected_errors=res.stats.data_corrections + res.stats.checksum_corrections,
         restarts=res.restarts,
         residual=residual,
@@ -213,5 +215,5 @@ def _execute(job: Job, machine: Machine, potrf, a, scratch, timeline: bool, **kw
         corrected_sites=list(res.stats.corrected_sites),
         stats=res.stats,
         factor=factor,
-        runtime=getattr(res, "runtime", None),
+        runtime=res.runtime,
     )

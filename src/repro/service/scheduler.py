@@ -109,9 +109,7 @@ class Scheduler:
     def total_concurrency(self) -> int:
         return sum(w.concurrency for w in self.workers)
 
-    def effective_concurrency(
-        self, executor_capacity: int | None = None, intra_workers: int = 1
-    ) -> int:
+    def effective_concurrency(self, executor_capacity: int | None = None) -> int:
         """Pool-wide dispatch slots, capped by the execution backend.
 
         The scheduler's worker slots say how many factorizations the
@@ -120,14 +118,9 @@ class Scheduler:
         for process).  Dispatching beyond the smaller bound only parks
         jobs in executor queues where admission control cannot see them,
         so the service sizes its capacity semaphore with this minimum.
-
-        *intra_workers* > 1 means each job runs that many runtime threads
-        (the ``dag`` scheme), so one job charges that many host slots —
-        the backend capacity is divided accordingly, never below one.
         """
-        check_positive("intra_workers", intra_workers)
         total = self.total_concurrency
         if executor_capacity is None:
             return total
         require(executor_capacity >= 1, "executor capacity must be >= 1")
-        return min(total, max(1, executor_capacity // intra_workers))
+        return min(total, executor_capacity)

@@ -454,8 +454,8 @@ class TestWorkerImports:
             "from repro.exec.worker import WorkerState, run_task\n"
             "from repro.service.job import Job\n"
             "state = WorkerState()\n"
-            "for scheme, workers in (('enhanced', 1), ('dag', 2)):\n"
-            "    job = Job(job_id=1, n=128, scheme=scheme, block_size=32, intra_workers=workers)\n"
+            "for scheme in ('enhanced', 'dag'):\n"
+            "    job = Job(job_id=1, n=128, scheme=scheme, block_size=32)\n"
             "    payload = {'job': job, 'preset': 'tardis', 'kind': 'attempt', 'retry': None}\n"
             "    assert run_task(payload, state).residual < 1e-12\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"

@@ -47,6 +47,20 @@ class TestJobSpecRoundTrip:
     def test_key_is_seed_and_id(self):
         assert _job(9, seed=4).key == "4:9"
 
+    def test_a_spec_that_carries_a_per_job_thread_width_still_replays(self, tmp_path):
+        # Journals written while the service had a per-job thread width
+        # for dag jobs store it in every spec; replay ignores it.
+        spec = {
+            "job_id": 2, "n": 64, "scheme": "dag", "priority": "batch", "block_size": 32,
+            "numerics": "real", "verify_interval": 1, "seed": 3, "timeout_s": None,
+            "intra_workers": 1,
+        }
+        path = tmp_path / "j.jsonl"
+        path.write_text(json.dumps({"event": "admitted", "key": "3:2", "spec": spec}) + "\n")
+        [job] = incomplete_jobs(read_journal(path))
+        assert (job.key, job.scheme, job.block_size) == ("3:2", "dag", 32)
+        assert job.to_spec() == {k: v for k, v in spec.items() if k != "intra_workers"}
+
 
 class TestJournalWrites:
     def test_records_are_one_json_line_each(self, tmp_path):

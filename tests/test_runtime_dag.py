@@ -17,10 +17,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis import check_protocol, find_hazards, load_trace_doc
 from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
-from repro.core import AbftConfig, enhanced_potrf
+from repro.core import AbftConfig, FtPotrfResult, enhanced_potrf
 from repro.core.multierror import MultiErrorCodec
+from repro.desim.trace import META_TILE_VERIFIES, META_TILE_WRITES, Timeline
 from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
@@ -235,6 +237,44 @@ class TestFaultAnchoring:
         assert plan_anchor(plan, 4) is None
 
 
+def _two_faults() -> FaultInjector:
+    """A storage flip and a computing fault, both within one column's
+    capacity: corrected in place."""
+    return FaultInjector(
+        [
+            FaultPlan(hook=Hook.STORAGE_WINDOW, iteration=1, kind="storage", block=(3, 1), coord=(2, 7)),
+            FaultPlan(hook=Hook.AFTER_GEMM, iteration=1, kind="computing", block=(4, 2), coord=(1, 5)),
+        ]
+    )
+
+
+class TestFaultVictims:
+    def test_victims_are_ordered_exactly_as_writes(self, a0):
+        matrix = DeviceMatrix("A", N, BS, BlockedMatrix(a0.copy(), BS))
+        chk = DeviceChecksums.zeros("chk", N, BS, real=True)
+        codec = MultiErrorCodec(BS, 2, atol=1e-11)
+        encode_strips(matrix, chk, codec.weights)
+        graph, _ = build_cholesky_graph(matrix, chk, codec, _two_faults())
+        struck = [t for t in graph.tasks if t.victims]
+        assert [t.kind for t in struck] == ["gemm", "storage_window"]
+        folded = TaskGraph()
+        for t in graph.tasks:
+            folded.add(t.kind, t.iteration, t.tile, reads=t.reads, writes=t.writes | t.victims, fn=t.fn)
+        assert graph.dependencies() == folded.dependencies()
+
+    def test_spans_report_accesses_only(self, tardis, a0):
+        res = factor_with(tardis, a0, workers=2, injector=_two_faults())
+        assert res.restarts == 0 and res.stats.data_corrections > 0
+        window = [s for s in res.timeline if s.kind == "storage_window"]
+        assert len(window) == 1 and not window[0].meta.get(META_TILE_WRITES)
+        for span in res.timeline:
+            if span.kind == "verify":
+                assert span.meta[META_TILE_VERIFIES] and META_TILE_WRITES not in span.meta
+        findings = check_protocol(res.timeline, "dag") + find_hazards(res.timeline)
+        assert [f for f in findings if f.severity == "error"] == []
+        assert {f.rule for f in findings} == {"vuln-window"}
+
+
 class TestRestartProtocol:
     @staticmethod
     def _unrecoverable():
@@ -254,7 +294,9 @@ class TestRestartProtocol:
         threaded = factor_with(tardis, a0, workers=3, injector=self._unrecoverable())
         assert serial.restarts == threaded.restarts == 1
         assert np.array_equal(serial.factor, threaded.factor)
-        assert len(serial.attempt_makespans) == 2
+        # The failed attempt banks neither simulated time nor spans.
+        assert serial.attempt_makespans == [] and serial.failed_timelines == []
+        assert serial.runtime["tasks"] == len(serial.timeline)
 
     def test_restart_exhaustion_raises(self, tardis, a0):
         a = a0.copy()
@@ -326,46 +368,52 @@ class TestRuntimeSummary:
         for span in res.timeline:
             assert all(dep < span.tid for dep in span.deps)
 
-    def test_gflops_positive(self, tardis, a0):
-        res = factor_with(tardis, a0, workers=1)
-        assert res.gflops > 0 and res.makespan > 0
+    @pytest.mark.parametrize("timeline", [True, False])
+    def test_result_is_an_ft_potrf_result_without_simulated_time(self, tardis, a0, timeline):
+        res = dag_potrf(tardis, a=a0.copy(), block_size=BS, timeline=timeline)
+        assert isinstance(res, FtPotrfResult)
+        assert res.makespan is None and res.attempt_makespans == []
+        assert res.runtime["tasks"] > 0 and res.placement == "host"
+        if timeline:
+            assert isinstance(res.timeline, Timeline) and len(res.timeline) == res.runtime["tasks"]
+        else:
+            assert res.timeline is None
+        with pytest.raises(ValidationError, match="dag engine"):
+            res.gflops
+        with pytest.raises(ValidationError, match="dag engine"):
+            res.overhead_breakdown()
+
+    def test_left_looking_results_carry_no_runtime(self, tardis, a0):
+        assert enhanced_potrf(tardis, a=a0.copy(), block_size=BS).runtime is None
 
 
 # -- service and scheduler wiring ----------------------------------------------
 
 
 class TestJobWiring:
-    def test_spec_round_trip_carries_intra_workers(self):
-        job = Job(job_id=7, n=128, scheme="dag", numerics="real", intra_workers=3)
-        clone = Job.from_spec(job.to_spec())
-        assert clone.intra_workers == 3 and clone.scheme == "dag"
+    def test_spec_round_trip_keeps_the_dag_scheme(self):
+        clone = Job.from_spec(Job(job_id=7, n=128, scheme="dag", numerics="real").to_spec())
+        assert clone.scheme == "dag" and "intra_workers" not in clone.to_spec()
 
     def test_dag_requires_real_numerics(self):
         with pytest.raises(ValidationError):
             Job(job_id=1, n=128, scheme="dag", numerics="shadow")
 
-    def test_non_dag_rejects_intra_workers(self):
-        with pytest.raises(ValidationError):
-            Job(job_id=1, n=128, scheme="enhanced", intra_workers=2)
-
-    def test_effective_concurrency_divides_by_intra_workers(self):
+    def test_effective_concurrency_is_capped_by_the_backend(self):
         from repro.hetero.machine import Machine
 
         sched = Scheduler([Worker("w0", Machine.preset("tardis"), concurrency=8)])
-        assert sched.effective_concurrency(8, intra_workers=4) == 2
-        assert sched.effective_concurrency(3, intra_workers=8) == 1
-        assert sched.effective_concurrency(None, intra_workers=4) == 8
+        assert sched.effective_concurrency(3) == 3
+        assert sched.effective_concurrency(16) == 8
+        assert sched.effective_concurrency(None) == 8
 
 
 class TestServiceEndToEnd:
     def test_dag_jobs_complete_and_fold_runtime_metrics(self):
         cfg = LoadGenConfig(
-            jobs=4, sizes=(64, 96), scheme="dag", fault_prob=0.5, seed=5,
-            concurrency=2, intra_workers=2,
+            jobs=4, sizes=(64, 96), scheme="dag", fault_prob=0.5, seed=5, concurrency=2
         )
-        service = SolveService(
-            ServiceConfig(workers=("tardis:2",), executor="thread", intra_workers=2)
-        )
+        service = SolveService(ServiceConfig(workers=("tardis:2",), executor="thread"))
         report, results = asyncio.run(run_load(service, cfg))
         assert report.completed == 4 and report.failed == 0
         assert all(r.status is JobStatus.COMPLETED for r in results)
@@ -379,3 +427,34 @@ class TestServiceEndToEnd:
         for kind, total in totals.items():
             assert m[f"runtime_task_seconds_{kind}"].count == total
         assert m["runtime_ready_queue_depth"].value() >= 1
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_traced_faulted_dag_jobs_dump_traces_that_re_verify(self, tmp_path, executor):
+        injectors = [
+            single_storage_fault(block=(3, 1), iteration=1),
+            single_computing_fault(block=(3, 2), iteration=1),
+        ]
+        jobs = [
+            Job(job_id=i, n=128, scheme="dag", block_size=32, seed=2, injector=inj)
+            for i, inj in enumerate(injectors)
+        ]
+        service = SolveService(
+            ServiceConfig(workers=("tardis:2",), executor=executor, exec_workers=2, trace_dir=tmp_path)
+        )
+
+        async def main():
+            service.start()
+            for job in jobs:
+                assert service.submit(job).accepted
+            await service.stop()
+
+        asyncio.run(main())
+        for job_id in range(len(jobs)):
+            result = service.results[job_id]
+            assert result.status is JobStatus.COMPLETED
+            assert result.corrected_errors + result.restarts > 0
+            timeline, scheme, dumped = load_trace_doc(tmp_path / f"job-{job_id}.json")
+            assert (scheme, dumped) == ("dag", job_id)
+            findings = check_protocol(timeline, scheme) + find_hazards(timeline)
+            errors = [f for f in findings if f.severity == "error"]
+            assert errors == [], [f.message for f in errors[:3]]

@@ -156,7 +156,7 @@ class TestTimelineOnlyWhenTraced:
         simulated, dag, shadow = _by_kind(service)
         for r in simulated + shadow:
             assert isinstance(r.timeline, Timeline) and r.sim_makespan > 0
-        # dag's makespan is host wall seconds: never a simulated one.
+        # dag has no simulated machine: its timeline holds host spans.
         assert all(isinstance(r.timeline, Timeline) and r.sim_makespan is None for r in dag)
         makespans = service.metrics["service_sim_makespan_seconds"]
         assert makespans.count == len(simulated) + len(shadow)
@@ -165,9 +165,7 @@ class TestTimelineOnlyWhenTraced:
         for path in dumps:
             timeline, scheme, _ = load_trace_doc(path)
             assert timeline.spans
-            findings = find_hazards(timeline)
-            if scheme != "dag":  # the protocol rules cover the left-looking schemes
-                findings += check_protocol(timeline, scheme)
+            findings = check_protocol(timeline, scheme) + find_hazards(timeline)
             errors = [f for f in findings if f.severity == "error"]
             assert errors == [], f"{path.name}: {[f.message for f in errors]}"
 
